@@ -13,9 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import checkpoint_digest, load_model, save_checkpoint
+from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import RunConfig, RunLock, load_config, default_config, run_dir, write_resolved
 from .corpora import read_pairs, read_sentences, write_json, write_pairs, write_sentences
 from .distill import (
@@ -27,7 +25,7 @@ from .distill import (
     strip_origin,
 )
 from .evaluate import b_sweep, bucket_bleu, corpus_bleu, loss_gap_analysis, write_loss_gap_plot
-from .lengths import LengthPolicy, estimate_C, length_parallel_decode_corpus
+from .lengths import LengthPolicy, estimate_C, gold_length_decode, length_parallel_decode_corpus
 from .nar import NARTransformer
 from .tasks import generate_corpus, generate_monolingual
 from .training import dataset_loss, init_student_from_teacher, train
@@ -52,18 +50,13 @@ def _resolve(args) -> RunConfig:
     return default_config(overrides)
 
 
-def _load_student(path) -> NARTransformer:
-    model = load_model(path)
-    if model.config.flavor != NAR:
-        raise CommandError(f"{path} holds an {model.config.flavor} model, expected NAR")
-    return model
-
-
-def _load_teacher(path) -> Transformer:
-    model = load_model(path)
-    if model.config.flavor != AR:
-        raise CommandError(f"{path} holds a {model.config.flavor} model, expected AR")
-    return model
+def _load_model(path, flavor: str) -> tuple:
+    """(model, checkpoint extras) from a checkpoint that must hold ``flavor``."""
+    config, params, extra = load_checkpoint(path)
+    if config.flavor != flavor:
+        raise CommandError(f"{path} holds a model of flavor {config.flavor}, "
+                           f"expected {flavor}")
+    return (NARTransformer if flavor == NAR else Transformer)(config, params), extra
 
 
 # ---------------------------------------------------------------------
@@ -139,7 +132,7 @@ def cmd_distill(args) -> int:
             )
     with RunLock(out):
         write_resolved(cfg, out)
-        teacher = _load_teacher(teacher_path)
+        teacher, _ = _load_model(teacher_path, AR)
         counts, dropped = {}, {}
         for split in ("train", "valid", "test"):
             srcs = [s for s, _ in read_pairs(data_dir, split)]
@@ -171,7 +164,7 @@ def cmd_train_student(args) -> int:
     _require(dist_dir / "train.src", "run distill first")
     with RunLock(out):
         write_resolved(cfg, out)
-        teacher = _load_teacher(teacher_path)
+        teacher, _ = _load_model(teacher_path, AR)
         par = [(s, t, PARALLEL) for s, t in read_pairs(dist_dir, "train")]
         mono = [(s, t, MONOLINGUAL) for s, t in read_pairs(dist_dir, "mono")]
         mixed = strip_origin(mix_monolingual(par, mono, cfg.distill.mono_fraction,
@@ -213,38 +206,18 @@ def cmd_train_student(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    from .checkpoint import load_checkpoint
-
     cfg = _resolve(args)
     out = run_dir(cfg)
     student_path = Path(args.student) if args.student else out / "student.ckpt"
-    s_cfg, s_params, s_extra = load_checkpoint(
-        _require(student_path, "run train-student first")
-    )
-    if s_cfg.flavor != NAR:
-        raise CommandError(f"{student_path} holds an {s_cfg.flavor} model, expected NAR")
-    student = NARTransformer(s_cfg, s_params)
+    student, s_extra = _load_model(_require(student_path, "run train-student first"), NAR)
     srcs = read_sentences(_require(Path(args.input), "input sentence file"))
     with RunLock(out):
         write_resolved(cfg, out)
     length = cfg.length
     if args.gold_lengths:
-        refs = read_sentences(Path(args.gold_lengths))
-        if len(refs) != len(srcs):
-            raise CommandError(
-                f"--gold-lengths file has {len(refs)} lines but input has "
-                f"{len(srcs)}"
-            )
-        hyps = [None] * len(srcs)
-        by_shape: dict = {}
-        for i, (s, r) in enumerate(zip(srcs, refs)):
-            by_shape.setdefault((len(s), len(r)), []).append(i)
-        for (_, lt), idxs in sorted(by_shape.items()):
-            emitted = student.nar_greedy_emit_batch([srcs[i] for i in idxs], lt)
-            for i, h in zip(idxs, emitted):
-                hyps[i] = h
+        hyps = gold_length_decode(student, srcs, read_sentences(Path(args.gold_lengths)))
     else:
-        teacher = _load_teacher(args.teacher if args.teacher else out / "teacher.ckpt")
+        teacher, _ = _load_model(args.teacher if args.teacher else out / "teacher.ckpt", AR)
         C = length.C if length.C is not None else int(s_extra.get("length_offset", 0))
         policy = LengthPolicy(C=C, B=length.B)
         hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
@@ -312,9 +285,9 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.kind == "b-sweep":
-        students = {name: _load_student(_require(Path(p), "student checkpoint"))
+        students = {name: _load_model(_require(Path(p), "student checkpoint"), NAR)[0]
                     for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
-        teacher = _load_teacher(_require(Path(args.teacher), "teacher checkpoint"))
+        teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
         pairs = read_pairs(Path(args.data), "test")
         B_values = [int(b) for b in args.b_values.split(",")]
         C = int(args.length_offset)

@@ -100,15 +100,7 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "model": asdict(self.model),
-            "train": self.train.to_dict(),
-            "data": asdict(self.data),
-            "distill": asdict(self.distill),
-            "length": asdict(self.length),
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":

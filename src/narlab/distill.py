@@ -28,7 +28,7 @@ def distill_corpus(teacher, sources, origin: str) -> tuple:
     return pairs, dropped
 
 
-def mix_monolingual(parallel_pairs, mono_pairs, fraction: float, seed: int) -> list:
+def mix_monolingual(parallel_pairs, mono_pairs, fraction: float, mix_seed: int) -> list:
     """All parallel pairs plus a seeded shuffled prefix of the mono pool.
 
     The prefix rule makes selections nest across fractions (the 25% set is
@@ -37,10 +37,10 @@ def mix_monolingual(parallel_pairs, mono_pairs, fraction: float, seed: int) -> l
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"monolingual fraction must be in [0, 1], got {fraction}")
-    order = rng_for(seed, "mono-prefix").permutation(len(mono_pairs))
+    order = rng_for(mix_seed, "mono-prefix").permutation(len(mono_pairs))
     k = int(round(fraction * len(mono_pairs)))
     mixed = list(parallel_pairs) + [mono_pairs[i] for i in order[:k]]
-    final = rng_for(seed, "mix-order").permutation(len(mixed))
+    final = rng_for(mix_seed, "mix-order").permutation(len(mixed))
     return [mixed[i] for i in final]
 
 

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lengths import LengthPolicy, length_parallel_decode_corpus
+from .lengths import LengthPolicy, gold_length_decode, length_parallel_decode_corpus
 
 MAX_ORDER = 4
 
@@ -167,14 +167,7 @@ def b_sweep(students: dict, teacher, test_pairs, B_values, C: int,
                 student, teacher, srcs, LengthPolicy(C=C, B=int(B)), rank_mode
             )
             cells[name][int(B)] = corpus_bleu(hyps, refs, smooth=smooth).bleu
-        by_len: dict = {}
-        for i, (s, t) in enumerate(zip(srcs, refs)):
-            by_len.setdefault((len(s), len(t)), []).append(i)
-        hyps = [None] * len(srcs)
-        for (_, lt), idxs in sorted(by_len.items()):
-            emitted = student.nar_greedy_emit_batch([srcs[i] for i in idxs], lt)
-            for i, h in zip(idxs, emitted):
-                hyps[i] = h
+        hyps = gold_length_decode(student, srcs, refs)
         gold[name] = corpus_bleu(hyps, refs, smooth=smooth).bleu
     return {"B_values": [int(b) for b in B_values], "cells": cells, "gold": gold}
 

@@ -1,7 +1,8 @@
 """Target-length prediction and length-parallel decoding with teacher reranking.
 
 The student emits one candidate per length in [T + C - B, T + C + B]; the
-AR teacher scores each candidate and the best one is returned.
+AR teacher scores each candidate and the best one is returned.  Gold-length
+decoding, the oracle row of the analyses, emits at each reference's length.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def _usable_lengths(student, teacher, T: int, policy: LengthPolicy) -> list:
     return usable
 
 
+def _check_rerank_args(student, teacher, rank_mode: str) -> None:
+    if rank_mode not in RANK_MODES:
+        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
+    if student.config.vocab_size != teacher.config.vocab_size:
+        raise ValueError(
+            f"student/teacher vocab mismatch: {student.config.vocab_size} "
+            f"vs {teacher.config.vocab_size}"
+        )
+
+
 def _rank_key(cand: ScoredCandidate, center: int):
     # maximize score; break ties toward the predicted length, then shorter
     return (cand.score, -abs(cand.length - center), -cand.length)
@@ -72,13 +83,7 @@ def _rank_key(cand: ScoredCandidate, center: int):
 def score_candidates(student, teacher, src, policy: LengthPolicy,
                      rank_mode: str = "sum_logprob") -> list:
     """Emit and teacher-score every candidate length for one sentence."""
-    if rank_mode not in RANK_MODES:
-        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
-    if student.config.vocab_size != teacher.config.vocab_size:
-        raise ValueError(
-            f"student/teacher vocab mismatch: {student.config.vocab_size} "
-            f"vs {teacher.config.vocab_size}"
-        )
+    _check_rerank_args(student, teacher, rank_mode)
     out = []
     for L in _usable_lengths(student, teacher, len(src), policy):
         tokens = student.nar_greedy_emit(src, L)
@@ -102,10 +107,7 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
     Groups sentences by source length so emissions and teacher scorings run
     as rectangular batches; selection uses the same ranking key.
     """
-    if rank_mode not in RANK_MODES:
-        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
-    if student.config.vocab_size != teacher.config.vocab_size:
-        raise ValueError("student/teacher vocab mismatch")
+    _check_rerank_args(student, teacher, rank_mode)
     out: list = [None] * len(srcs)
     by_len: dict = {}
     for i, s in enumerate(srcs):
@@ -125,4 +127,23 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
                 for L, (emitted, scores) in sorted(cands.items())
             ]
             out[i] = max(scored, key=lambda c: _rank_key(c, center)).tokens
+    return out
+
+
+def gold_length_decode(student, srcs, refs) -> list:
+    """Student emissions at each reference's true length: no candidate
+    window and no reranking.  Batches by (source, reference) length."""
+    if len(refs) != len(srcs):
+        raise ValueError(
+            f"gold-length decoding needs one reference per source, got "
+            f"{len(refs)} reference lines for {len(srcs)} source lines"
+        )
+    out: list = [None] * len(srcs)
+    by_shape: dict = {}
+    for i, (s, r) in enumerate(zip(srcs, refs)):
+        by_shape.setdefault((len(s), len(r)), []).append(i)
+    for (_, L), idxs in sorted(by_shape.items()):
+        emitted = student.nar_greedy_emit_batch([srcs[i] for i in idxs], L)
+        for i, hyp in zip(idxs, emitted):
+            out[i] = hyp
     return out

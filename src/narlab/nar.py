@@ -1,9 +1,12 @@
-"""NAR student: Gaussian soft-copy decoder input, non-causal self-attention,
-learned positional embeddings added at the input of every decoder layer.
+"""NAR student: the shared transformer with a Gaussian soft-copy decoder
+input, non-causal decoder self-attention, and learned positional embeddings
+added at the input of every decoder layer.
 
-There is no positional self-attention module; target positions get their
-position information solely from these per-layer embeddings, and the
-decoder emits all positions in one parallel pass.
+The decoder layer loop is ``Transformer._decode_hidden``; this flavor only
+supplies its two differences (no self-attention mask, positions re-added
+per layer).  There is no positional self-attention module; target positions
+get their position information solely from these per-layer embeddings, and
+the decoder emits all positions in one parallel pass.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .transformer import (NAR, Transformer, _attention, _dropout, _ffn, _ln,
-                          _with_null_row)
+from .transformer import NAR, Transformer
 
 
 def soft_copy_weights(src_len: int, target_len: int, sigma_sq: Tensor,
@@ -41,8 +43,9 @@ def soft_copy_weights(src_len: int, target_len: int, sigma_sq: Tensor,
 
 def soft_copy(enc_out: Tensor, target_len: int, sigma_sq: Tensor,
               normalize: bool = True) -> Tensor:
-    """Soft-copy one encoded sentence (T, d) to (target_len, d)."""
-    w = soft_copy_weights(enc_out.shape[0], target_len, sigma_sq, normalize)
+    """Soft-copy encoded sources (..., T, d) to (..., target_len, d); one
+    weight matrix serves a whole rectangular batch."""
+    w = soft_copy_weights(enc_out.shape[-2], target_len, sigma_sq, normalize)
     return T.matmul(w, enc_out)
 
 
@@ -58,41 +61,23 @@ class NARTransformer(Transformer):
     def sigma_sq(self) -> Tensor:
         return T.exp(self.params["soft_copy.rho"])
 
-    def _pos_table(self, layer: int) -> Tensor:
-        if self.config.per_layer_pos_tables:
-            return self.params[f"decoder.layer{layer}.pos_embedding"]
-        return self.params["decoder.pos_embedding"]
+    def _self_attn_mask(self, n: int) -> None:
+        return None  # non-causal: every position attends every other
 
-    def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None) -> Tensor:
-        # non-causal: no self-attention mask; positions re-added every layer
-        p, cfg = self.params, self.config
-        Lt = dec_in.shape[1]
-        x = dec_in
-        for i in range(cfg.num_layers):
-            x = x + T.gather_rows(self._pos_table(i), np.arange(Lt))
-            pre = f"decoder.layer{i}"
-            n = _ln(p, f"{pre}.ln1", x)
-            a = _attention(p, f"{pre}.self_attn", n, n, cfg.num_heads)
-            x = x + _dropout(a, cfg.dropout_rate, rng)
-            c = _attention(p, f"{pre}.cross_attn", _ln(p, f"{pre}.ln2", x),
-                           _with_null_row(p, f"{pre}.cross_attn", enc_out),
-                           cfg.num_heads)
-            x = x + _dropout(c, cfg.dropout_rate, rng)
-            f = _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln3", x))
-            x = x + _dropout(f, cfg.dropout_rate, rng)
-        return _ln(p, "decoder.ln", x)
+    def _layer_input(self, x: Tensor, layer: int) -> Tensor:
+        table = (f"decoder.layer{layer}.pos_embedding" if self.config.per_layer_pos_tables
+                 else "decoder.pos_embedding")
+        return x + T.gather_rows(self.params[table], np.arange(x.shape[1]))
 
     def _soft_copy_batch(self, enc_out: Tensor, target_len: int) -> Tensor:
-        # one weight matrix serves the whole rectangular batch
-        w = soft_copy_weights(enc_out.shape[1], target_len, self.sigma_sq,
-                              self.config.kernel_normalize)
-        return T.matmul(w, enc_out)
+        return soft_copy(enc_out, target_len, self.sigma_sq, self.config.kernel_normalize)
 
     def nar_logits_batch(self, src_ids: np.ndarray, target_len: int, rng=None,
                          enc_out: Tensor | None = None,
                          dec_in: Tensor | None = None) -> Tensor:
         """Parallel logits (B, target_len, V).  ``enc_out`` / ``dec_in``
-        overrides exist for perturbation tests and training reuse."""
+        replace the encoder output and the soft-copied decoder input, so
+        perturbation tests can feed in altered ones."""
         if not 1 <= target_len <= self.config.max_len:
             raise ValueError(
                 f"target_len {target_len} outside [1, {self.config.max_len}]"

@@ -439,10 +439,8 @@ def layer_norm(x: Tensor, eps: float = LN_EPS) -> Tensor:
     xhat = (x.data - mu) * inv
 
     def back(g):
-        d = x.shape[-1]
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
-        del d
         return (inv * (g - gm - xhat * gx),)
 
     return _make(xhat, (x,), back)

@@ -21,10 +21,6 @@ from .transformer import NAR
 from .util import rng_for
 from .vocab import BOS_ID, EOS_ID
 
-# paper-scale reference values; desk defaults live on TrainConfig
-PAPER_SCALE_TRAIN = {"batch_tokens": 64000, "warmup_steps": 4000, "peak_lr": 0.0014}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_tokens: int = 2048

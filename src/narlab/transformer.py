@@ -149,11 +149,6 @@ def init_params(config: ModelConfig, seed: int) -> dict:
     return params
 
 
-def copy_param_values(params: dict) -> dict:
-    """Detached float copies of a parameter set (for checkpoint ring buffers)."""
-    return {k: v.data.copy() for k, v in params.items()}
-
-
 def sinusoid_table(max_len: int, d: int) -> np.ndarray:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-math.log(10000.0) / d))
@@ -273,12 +268,20 @@ class Transformer:
             x = x + _dropout(f, cfg.dropout_rate, rng)
         return _ln(p, "encoder.ln", x)
 
+    def _self_attn_mask(self, n: int) -> np.ndarray | None:
+        return make_causal_mask(n)
+
+    def _layer_input(self, x: Tensor, layer: int) -> Tensor:
+        return x
+
     def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None) -> Tensor:
-        # dec_in (B, Lt, d) already embedded; causal self-attention
+        # dec_in (B, Lt, d) already embedded; the flavor decides the
+        # self-attention mask and what each layer adds to its input
         p, cfg = self.params, self.config
-        allowed = make_causal_mask(dec_in.shape[1])
+        allowed = self._self_attn_mask(dec_in.shape[1])
         x = dec_in
         for i in range(cfg.num_layers):
+            x = self._layer_input(x, i)
             pre = f"decoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
             a = _attention(p, f"{pre}.self_attn", n, n, cfg.num_heads, allowed)
@@ -323,14 +326,13 @@ class Transformer:
             probs = T.softmax(self._project(h))
         return probs.data[0, -1]
 
-    def greedy_decode(self, src, max_len: int | None = None) -> list:
-        return self.greedy_decode_batch([src], max_len=max_len)[0]
+    def greedy_decode(self, src) -> list:
+        return self.greedy_decode_batch([src])[0]
 
-    def greedy_decode_batch(self, srcs, max_len: int | None = None) -> list:
+    def greedy_decode_batch(self, srcs) -> list:
         """Greedy decode many sentences; groups by source length internally.
 
-        Output length is hard-capped at 2*T + 8 (or ``max_len`` if given);
-        EOS is consumed, not returned.
+        Output length is hard-capped at 2*T + 8; EOS is consumed, not returned.
         """
         srcs = [self._check_ids(s, "source") for s in srcs]
         out: list = [None] * len(srcs)
@@ -338,8 +340,7 @@ class Transformer:
         for i, s in enumerate(srcs):
             by_len.setdefault(len(s), []).append(i)
         for T_src, idxs in sorted(by_len.items()):
-            cap = 2 * T_src + 8 if max_len is None else max_len
-            cap = min(cap, self.config.max_len - 1)
+            cap = min(2 * T_src + 8, self.config.max_len - 1)
             batch = np.stack([srcs[i] for i in idxs])
             for i, hyp in zip(idxs, self._greedy_group(batch, cap)):
                 out[i] = hyp

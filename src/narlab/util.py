@@ -1,12 +1,10 @@
-"""Seed derivation and small batching helpers shared across modules."""
+"""Seed derivation and stable hashing shared across modules."""
 
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
-
-from .vocab import PAD_ID
 
 
 def rng_for(seed: int, *tags) -> np.random.Generator:
@@ -37,17 +35,3 @@ def stable_bucket(parts, n_buckets: int, *, key: str = "") -> int:
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "big") % n_buckets
 
-
-def pad_batch(seqs, pad: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id sequences into a padded (B, L) int array.
-
-    Returns the padded array and a (B,) array of true lengths.  An empty
-    sequence list is rejected; callers batch only non-empty groups.
-    """
-    if len(seqs) == 0:
-        raise ValueError("pad_batch needs at least one sequence")
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    out = np.full((len(seqs), int(lens.max())), pad, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = np.asarray(s, dtype=np.int64)
-    return out, lens

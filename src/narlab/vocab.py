@@ -14,8 +14,6 @@ EOS_ID = 2
 UNK_ID = 3
 N_RESERVED = 4
 
-RESERVED = (PAD_ID, BOS_ID, EOS_ID, UNK_ID)
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -35,6 +33,3 @@ class Vocabulary:
     @property
     def content_ids(self) -> range:
         return range(N_RESERVED, N_RESERVED + self.n_content)
-
-    def is_content(self, token: int) -> bool:
-        return N_RESERVED <= token < self.size

@@ -51,45 +51,45 @@ def par_pool(n=10):
 
 class TestMixMonolingual:
     def test_fraction_zero_keeps_only_parallel(self):
-        mixed = mix_monolingual(par_pool(), mono_pool(), 0.0, seed=0)
+        mixed = mix_monolingual(par_pool(), mono_pool(), 0.0, mix_seed=0)
         assert sorted(mixed) == sorted(par_pool())
 
     def test_fraction_one_takes_everything(self):
-        mixed = mix_monolingual(par_pool(), mono_pool(), 1.0, seed=0)
+        mixed = mix_monolingual(par_pool(), mono_pool(), 1.0, mix_seed=0)
         assert sorted(mixed) == sorted(par_pool() + mono_pool())
 
     def test_selected_count_rounds(self):
-        mixed = mix_monolingual(par_pool(0), mono_pool(10), 0.25, seed=3)
+        mixed = mix_monolingual(par_pool(0), mono_pool(10), 0.25, mix_seed=3)
         assert len(mixed) == 2  # round(0.25 * 10)
 
     def test_prefix_selections_nest_across_fractions(self):
         mono = mono_pool(40)
         picks = {}
         for frac in (0.25, 0.5, 1.0):
-            mixed = mix_monolingual([], mono, frac, seed=11)
+            mixed = mix_monolingual([], mono, frac, mix_seed=11)
             picks[frac] = {tuple(src) for src, _, _ in mixed}
         assert picks[0.25] <= picks[0.5] <= picks[1.0]
         assert len(picks[0.25]) == 10 and len(picks[0.5]) == 20
 
     def test_parallel_always_fully_present(self):
         for frac in (0.0, 0.25, 0.5, 1.0):
-            mixed = mix_monolingual(par_pool(), mono_pool(), frac, seed=5)
+            mixed = mix_monolingual(par_pool(), mono_pool(), frac, mix_seed=5)
             kept = [p for p in mixed if p[2] == PARALLEL]
             assert sorted(kept) == sorted(par_pool())
 
     def test_deterministic_and_shuffled(self):
-        a = mix_monolingual(par_pool(), mono_pool(), 0.5, seed=4)
-        b = mix_monolingual(par_pool(), mono_pool(), 0.5, seed=4)
-        c = mix_monolingual(par_pool(), mono_pool(), 0.5, seed=9)
+        a = mix_monolingual(par_pool(), mono_pool(), 0.5, mix_seed=4)
+        b = mix_monolingual(par_pool(), mono_pool(), 0.5, mix_seed=4)
+        c = mix_monolingual(par_pool(), mono_pool(), 0.5, mix_seed=9)
         assert a == b
         assert a != c
         assert a != sorted(a)  # order is shuffled, not concatenated
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            mix_monolingual([], mono_pool(), 1.5, seed=0)
+            mix_monolingual([], mono_pool(), 1.5, mix_seed=0)
         with pytest.raises(ValueError):
-            mix_monolingual([], mono_pool(), -0.1, seed=0)
+            mix_monolingual([], mono_pool(), -0.1, mix_seed=0)
 
 
 class TestStripOrigin:

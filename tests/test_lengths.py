@@ -6,6 +6,7 @@ from narlab.lengths import (
     ScoredCandidate,
     candidate_lengths,
     estimate_C,
+    gold_length_decode,
     length_parallel_decode,
     length_parallel_decode_corpus,
     score_candidates,
@@ -169,3 +170,17 @@ class TestDecode:
     def test_no_representable_candidate_raises(self, student, teacher):
         with pytest.raises(ValueError, match="max_len"):
             length_parallel_decode(student, teacher, [4] * 8, LengthPolicy(C=40, B=1))
+
+
+class TestGoldLength:
+    def test_matches_per_sentence_emission_at_reference_length(self, student):
+        rng = rng_for(2, "gold")
+        srcs = [[int(x) for x in rng.integers(4, 16, size=int(rng.integers(2, 6)))]
+                for _ in range(20)]
+        refs = [[4] * int(rng.integers(1, 8)) for _ in srcs]
+        out = gold_length_decode(student, srcs, refs)
+        assert out == [student.nar_greedy_emit(s, len(r)) for s, r in zip(srcs, refs)]
+
+    def test_count_mismatch_rejected(self, student):
+        with pytest.raises(ValueError, match="reference"):
+            gold_length_decode(student, [[4, 5], [6, 7]], [[4]])

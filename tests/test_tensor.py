@@ -295,4 +295,6 @@ class TestHypothesisInvariants:
         x = np.random.default_rng(seed).standard_normal(d) * 3.0 + 1.0
         out = T.layer_norm(Tensor(x)).data
         assert abs(out.mean()) < 1e-9
-        assert abs(out.var() - 1.0) < 1e-8
+        # layer_norm adds LN_EPS to the variance, so the output variance
+        # is var / (var + eps) rather than exactly 1
+        assert abs(out.var() - x.var() / (x.var() + T.LN_EPS)) < 1e-8
