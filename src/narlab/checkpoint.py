@@ -50,7 +50,13 @@ def load_checkpoint(path) -> tuple:
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
         n = int.from_bytes(fh.read(8), "big")
-        header = json.loads(fh.read(n).decode("utf-8"))
+        blob = fh.read(n)
+        if len(blob) != n:
+            raise ValueError(f"{path}: truncated header ({len(blob)} of {n} bytes)")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as err:  # bad UTF-8 or bad JSON
+            raise ValueError(f"{path}: header is not valid JSON: {err}") from err
         params = {}
         for name, shape in sorted(header["params"].items()):
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -232,8 +232,7 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = read_sentences(_require(Path(args.hyp), "hypothesis file"))
     refs = read_sentences(_require(Path(args.ref), "reference file"))
-    report = corpus_bleu(hyps, refs, smooth=args.smooth,
-                         case_insensitive=args.case_insensitive)
+    report = corpus_bleu(hyps, refs, smooth=args.smooth)
     precisions = " ".join(f"P{i + 1} {p * 100:.1f}" for i, p in
                           enumerate(report.precisions))
     print(f"BLEU {report.bleu:.2f}  BP {report.brevity_penalty:.3f}  "
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="also write a JSON report here")
     p.add_argument("--smooth", action="store_true",
                    help="add-one smoothing for orders >= 2")
-    p.add_argument("--case-insensitive", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="paper-style analyses")

@@ -133,6 +133,10 @@ class RunConfig:
         return RunConfig(**kwargs)
 
 
+def _one_line(err: Exception) -> str:
+    return " ".join(str(err).split())
+
+
 def apply_overrides(d: dict, overrides) -> dict:
     """Apply dotted-path overrides like ``train.peak_lr=0.01`` to a config
     dict; values are parsed as YAML scalars so types come out right."""
@@ -148,13 +152,19 @@ def apply_overrides(d: dict, overrides) -> dict:
             node = node.setdefault(k, {})
             if not isinstance(node, dict):
                 raise ValueError(f"override {item!r} descends into a scalar")
-        node[keys[-1]] = yaml.safe_load(raw)
+        try:
+            node[keys[-1]] = yaml.safe_load(raw)
+        except yaml.YAMLError as err:
+            raise ValueError(f"override {item!r} is not valid YAML: {_one_line(err)}") from err
     return d
 
 
 def load_config(path, overrides=()) -> RunConfig:
     with open(path) as fh:
-        d = yaml.safe_load(fh) or {}
+        try:
+            d = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as err:
+            raise ValueError(f"config {path} is not valid YAML: {_one_line(err)}") from err
     if not isinstance(d, dict):
         raise ValueError(f"config root of {path} must be a mapping")
     return RunConfig.from_dict(apply_overrides(d, overrides))

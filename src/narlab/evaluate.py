@@ -41,14 +41,7 @@ def _ngrams(seq, n: int) -> Counter:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
-def _fold(seq, case_insensitive: bool):
-    if not case_insensitive:
-        return list(seq)
-    return [t.lower() if isinstance(t, str) else t for t in seq]
-
-
-def corpus_bleu(hypotheses, references, smooth: bool = False,
-                case_insensitive: bool = False) -> BleuReport:
+def corpus_bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
     """Standard 4-gram corpus BLEU with clipped counts and brevity penalty.
 
     Unsmoothed by default: any zero precision gives BLEU 0.  ``smooth``
@@ -65,8 +58,7 @@ def corpus_bleu(hypotheses, references, smooth: bool = False,
     totals = [0] * MAX_ORDER
     hyp_tokens = ref_tokens = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp = _fold(hyp, case_insensitive)
-        ref = _fold(ref, case_insensitive)
+        hyp, ref = list(hyp), list(ref)
         hyp_tokens += len(hyp)
         ref_tokens += len(ref)
         for n in range(1, MAX_ORDER + 1):

@@ -4,7 +4,9 @@ Pre-LN residual blocks, sinusoidal positional encodings at the embedding
 layer, shared source/target embedding table optionally tied to the output
 projection.  All batched entry points take rectangular id arrays: callers
 group sentences by exact length, so no padding is ever present inside the
-model and attention masks reduce to the causal mask alone.
+model and attention masks reduce to the causal mask alone.  Greedy decoding
+feeds one position per step, which attends over the cached keys and values
+of the positions before it and so needs no mask at all.
 """
 
 from __future__ import annotations
@@ -174,18 +176,26 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     return x * Tensor(keep)
 
 
-def _attention(params: dict, prefix: str, q_in: Tensor, kv_in: Tensor,
-               num_heads: int, allowed: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention; ``allowed`` broadcasts over (B, H, Lq, Lk)."""
-    B, Lq, d = q_in.shape
-    Lk = kv_in.shape[1]
+def _kv(params: dict, prefix: str, kv_in: Tensor, num_heads: int) -> tuple:
+    """Keys and values of ``kv_in`` (B, Lk, d), projected and split into
+    heads: two (B, H, Lk, d / H) tensors."""
+    B, Lk, d = kv_in.shape
     dh = d // num_heads
-    q = T.matmul(q_in, params[f"{prefix}.Wq"]) + params[f"{prefix}.bq"]
     k = T.matmul(kv_in, params[f"{prefix}.Wk"]) + params[f"{prefix}.bk"]
     v = T.matmul(kv_in, params[f"{prefix}.Wv"]) + params[f"{prefix}.bv"]
+    return (k.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3)),
+            v.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3)))
+
+
+def _attention(params: dict, prefix: str, q_in: Tensor, kv: tuple,
+               num_heads: int, allowed: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention of ``q_in`` over the keys and values ``kv``
+    from ``_kv``; ``allowed`` broadcasts over (B, H, Lq, Lk)."""
+    B, Lq, d = q_in.shape
+    dh = d // num_heads
+    k, v = kv
+    q = T.matmul(q_in, params[f"{prefix}.Wq"]) + params[f"{prefix}.bq"]
     q = q.reshape(B, Lq, num_heads, dh).transpose((0, 2, 1, 3))
-    k = k.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3))
-    v = v.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3))
     scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * Tensor(1.0 / math.sqrt(dh))
     if allowed is not None:
         scores = T.masked_fill(scores, allowed)
@@ -241,15 +251,16 @@ class Transformer:
             )
         return seq
 
-    def _embed(self, ids: np.ndarray, rng=None) -> Tensor:
-        # (B, L) -> (B, L, d), scaled embedding plus sinusoidal positions
-        L = ids.shape[1]
-        if L > self.config.max_len:
-            raise ValueError(f"sequence length {L} exceeds max_len {self.config.max_len}")
+    def _embed(self, ids: np.ndarray, rng=None, start: int = 0) -> Tensor:
+        # (B, L) -> (B, L, d), scaled embedding plus the sinusoids of
+        # positions start .. start + L - 1
+        end = start + ids.shape[1]
+        if end > self.config.max_len:
+            raise ValueError(f"sequence length {end} exceeds max_len {self.config.max_len}")
         x = T.gather_rows(self.params["embedding"], ids) * Tensor(
             math.sqrt(self.config.model_dim)
         )
-        x = x + Tensor(self._pos[:L])
+        x = x + Tensor(self._pos[start:end])
         return _dropout(x, self.config.dropout_rate, rng)
 
     def _project(self, hidden: Tensor) -> Tensor:
@@ -262,7 +273,8 @@ class Transformer:
         for i in range(cfg.num_layers):
             pre = f"encoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
-            a = _attention(p, f"{pre}.attn", n, n, cfg.num_heads)
+            a = _attention(p, f"{pre}.attn", n, _kv(p, f"{pre}.attn", n, cfg.num_heads),
+                           cfg.num_heads)
             x = x + _dropout(a, cfg.dropout_rate, rng)
             f = _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln2", x))
             x = x + _dropout(f, cfg.dropout_rate, rng)
@@ -274,20 +286,41 @@ class Transformer:
     def _layer_input(self, x: Tensor, layer: int) -> Tensor:
         return x
 
-    def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None) -> Tensor:
+    def _layer_kv(self, prefix: str, n: Tensor, enc_out: Tensor, cache) -> tuple:
+        """Self- and cross-attention keys and values of one decoder layer.
+        With a cache, the K/V of the position fed now join those of the
+        positions before it, and the cross-attention K/V (null row included)
+        are projected on the first step only."""
+        p, heads = self.params, self.config.num_heads
+        sa, ca = f"{prefix}.self_attn", f"{prefix}.cross_attn"
+        self_kv = _kv(p, sa, n, heads)
+        if cache is None:
+            return self_kv, _kv(p, ca, _with_null_row(p, ca, enc_out), heads)
+        if sa in cache:
+            self_kv = tuple(T.concat([old, new], axis=2)
+                            for old, new in zip(cache[sa], self_kv))
+        else:
+            cache[ca] = _kv(p, ca, _with_null_row(p, ca, enc_out), heads)
+        cache[sa] = self_kv
+        return self_kv, cache[ca]
+
+    def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None,
+                       cache: dict | None = None) -> Tensor:
         # dec_in (B, Lt, d) already embedded; the flavor decides the
-        # self-attention mask and what each layer adds to its input
+        # self-attention mask and what each layer adds to its input.  With a
+        # ``cache`` (AR greedy decoding) dec_in is only the next position,
+        # which may attend every cached one, so no mask applies.
         p, cfg = self.params, self.config
-        allowed = self._self_attn_mask(dec_in.shape[1])
+        allowed = None if cache is not None else self._self_attn_mask(dec_in.shape[1])
         x = dec_in
         for i in range(cfg.num_layers):
             x = self._layer_input(x, i)
             pre = f"decoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
-            a = _attention(p, f"{pre}.self_attn", n, n, cfg.num_heads, allowed)
+            self_kv, cross_kv = self._layer_kv(pre, n, enc_out, cache)
+            a = _attention(p, f"{pre}.self_attn", n, self_kv, cfg.num_heads, allowed)
             x = x + _dropout(a, cfg.dropout_rate, rng)
-            c = _attention(p, f"{pre}.cross_attn", _ln(p, f"{pre}.ln2", x),
-                           _with_null_row(p, f"{pre}.cross_attn", enc_out),
+            c = _attention(p, f"{pre}.cross_attn", _ln(p, f"{pre}.ln2", x), cross_kv,
                            cfg.num_heads)
             x = x + _dropout(c, cfg.dropout_rate, rng)
             f = _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln3", x))
@@ -333,6 +366,8 @@ class Transformer:
         """Greedy decode many sentences; groups by source length internally.
 
         Output length is hard-capped at 2*T + 8; EOS is consumed, not returned.
+        Each step feeds only the newest token, against cached keys and values
+        of the tokens before it, and drops the sentences that have ended.
         """
         srcs = [self._check_ids(s, "source") for s in srcs]
         out: list = [None] * len(srcs)
@@ -348,27 +383,29 @@ class Transformer:
 
     def _greedy_group(self, src_ids: np.ndarray, cap: int) -> list:
         B = src_ids.shape[0]
+        hyps = np.zeros((B, cap), dtype=np.int64)
+        lengths = np.full(B, cap)  # a row that never emits EOS stops at the cap
+        live = np.arange(B)  # rows still decoding, in batch order
+        cache: dict = {}
         with T.no_grad():
             enc_out = self.encode_batch(src_ids)
-            prefix = np.full((B, 1), BOS_ID, dtype=np.int64)
-            done = np.zeros(B, dtype=bool)
-            hyps: list = [[] for _ in range(B)]
-            for _ in range(cap):
-                dec_in = self._embed(prefix)
-                h = self._decode_hidden(dec_in, enc_out)
-                logits = self._project(Tensor(h.data[:, -1:, :]))
-                nxt = np.argmax(logits.data[:, 0, :], axis=-1)
-                for b in range(B):
-                    if done[b]:
-                        continue
-                    if nxt[b] == EOS_ID:
-                        done[b] = True
-                    else:
-                        hyps[b].append(int(nxt[b]))
-                if done.all():
-                    break
-                prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
-        return hyps
+            tokens = np.full((B, 1), BOS_ID, dtype=np.int64)
+            for t in range(cap):
+                h = self._decode_hidden(self._embed(tokens, start=t), enc_out, cache=cache)
+                nxt = np.argmax(self._project(h).data[:, 0, :], axis=-1)
+                hyps[live, t] = nxt
+                ended = nxt == EOS_ID
+                if ended.any():
+                    lengths[live[ended]] = t
+                    keep = ~ended
+                    live, nxt = live[keep], nxt[keep]
+                    if live.size == 0:
+                        break
+                    enc_out = Tensor(enc_out.data[keep])
+                    for key, kv in cache.items():
+                        cache[key] = tuple(Tensor(a.data[keep]) for a in kv)
+                tokens = nxt[:, None]
+        return [hyps[b, : lengths[b]].tolist() for b in range(B)]
 
     def sequence_logprob(self, src, tgt) -> tuple:
         """(sum, per-token mean) of log P(tgt_t | tgt_<t, src); no EOS term."""

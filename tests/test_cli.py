@@ -12,12 +12,13 @@ import shutil
 import pytest
 import yaml
 
-from narlab.checkpoint import checkpoint_digest, load_checkpoint
+from narlab.checkpoint import MAGIC, checkpoint_digest, load_checkpoint, save_checkpoint
 from narlab.cli import main
 from narlab.config import OUTPUT_ROOT_ENV
 from narlab.corpora import read_sentences
 from narlab.lengths import LengthPolicy, candidate_lengths
 from narlab.nar import NARTransformer
+from narlab.transformer import ModelConfig, init_params
 
 # small enough that the whole pipeline runs in a few seconds
 TINY = [
@@ -259,6 +260,53 @@ class TestErrorPaths:
                      "-o", str(tmp_path / "h.txt"),
                      "--student", str(run / "teacher.ckpt")]) == 2
         assert "expected NAR" in capsys.readouterr().err
+
+
+def _bad_config_file(tmp):
+    path = tmp / "bad.yaml"
+    path.write_text("model:\n  num_layers: [1,\n")
+    return ["gen-data", "-c", str(path)], str(path)
+
+
+def _bad_override(tmp):
+    item = "model.num_layers=[1,"
+    return ["gen-data", *opts(tmp / "r", [item])], item
+
+
+def _damaged_student(edit):
+    """A translate call whose student checkpoint ``edit`` has damaged."""
+    def case(tmp):
+        path = tmp / "student.ckpt"
+        cfg = ModelConfig(vocab_size=12, num_layers=1, num_heads=2, model_dim=16,
+                          hidden_dim=32, flavor="NAR")
+        save_checkpoint(path, cfg, init_params(cfg, 0))
+        path.write_bytes(edit(path.read_bytes()))
+        return ["translate", *opts(tmp / "r"), "--student", str(path),
+                "-i", str(tmp / "in.txt"), "-o", str(tmp / "out.txt")], str(path)
+    return case
+
+
+HEADER = len(MAGIC) + 8  # offset of a checkpoint's JSON header
+
+
+# each row: a malformed input that must fail with exit code 2 and one
+# error line that names it
+MALFORMED = {
+    "yaml config file": _bad_config_file,
+    "yaml override": _bad_override,
+    "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
+    "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
+    "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_named(case, tmp_path, capsys):
+    argv, name = case(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
 
 
 def test_env_var_roots_relative_output_dir(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ class FakeTeacher:
     """Decodes deterministically without a real model: reverses the source,
     emits [] for sources starting with 99."""
 
-    def greedy_decode_batch(self, sources, max_len=None):
+    def greedy_decode_batch(self, sources):
         return [[] if s[0] == 99 else list(reversed(s)) for s in sources]
 
 

@@ -58,12 +58,6 @@ class TestCorpusBleu:
         assert soft.bleu > 0.0
         assert soft.precisions[0] == 1.0  # unigram precision left unsmoothed
 
-    def test_case_insensitive_flag(self):
-        hyp = [["The", "Cat", "Sat", "Down"]]
-        ref = [["the", "cat", "sat", "down"]]
-        assert corpus_bleu(hyp, ref).bleu == 0.0
-        assert corpus_bleu(hyp, ref, case_insensitive=True).bleu == pytest.approx(100.0)
-
     def test_permutation_invariant(self):
         rng = rng_for(0, "bleu-perm")
         hyps = [[int(x) for x in rng.integers(4, 12, size=6)] for _ in range(8)]

@@ -224,3 +224,98 @@ class TestCausality:
         # rows 0..j condition only on tokens before position j
         np.testing.assert_allclose(la[: j + 1], lb[: j + 1], atol=1e-12)
         assert np.abs(la[j + 1] - lb[j + 1]).max() > 1e-8
+
+
+class StepRecorder(Transformer):
+    """Keeps the logits of every greedy decoding step, in batch order."""
+
+    def __init__(self, config, params):
+        super().__init__(config, params)
+        self.steps = []
+
+    def _project(self, hidden):
+        logits = super()._project(hidden)
+        self.steps.append(logits.data[:, 0, :].copy())
+        return logits
+
+
+def eos_prone_model():
+    """A random model whose EOS output row is scaled up so that, on
+    ``staggered_sources``, rows end at different steps (some at the cap)."""
+    m = Transformer(tiny_config(weight_tying=False, max_len=32), seed=2)
+    m.params["output_proj"].data[EOS_ID] *= 1.5
+    return m
+
+
+def staggered_sources():
+    rng = np.random.default_rng(0)
+    return [[int(t) for t in rng.integers(4, 12, size=4)] for _ in range(8)]
+
+
+def teacher_forced_inconsistent(model, srcs, outs) -> list:
+    """Rows whose output is not what argmax over full-prefix teacher-forced
+    logits gives: every token the argmax on [BOS] + output, then EOS the
+    argmax unless the output reached the 2T + 8 cap."""
+    bad = []
+    for b, (src, out) in enumerate(zip(srcs, outs)):
+        logits = model.ar_logits_batch(np.array([src]), np.array([[BOS_ID] + out])).data[0]
+        wanted = out + ([EOS_ID] if len(out) < 2 * len(src) + 8 else [])
+        rows = logits[: len(wanted)]
+        if np.any(rows.max(axis=-1) - rows[np.arange(len(wanted)), wanted] > 1e-9):
+            bad.append(b)
+    return bad
+
+
+class TestIncrementalDecode:
+    def test_cached_logits_match_teacher_forced_every_step(self):
+        m = eos_prone_model()
+        rec = StepRecorder(m.config, m.params)
+        srcs = staggered_sources()
+        outs = rec.greedy_decode_batch(srcs)
+        cap = 2 * 4 + 8
+        lengths = [len(o) for o in outs]
+        assert len(set(lengths)) >= 3 and cap in lengths  # rows end at different steps
+        assert len(rec.steps) == cap
+        refs = [m.ar_logits_batch(np.array([s]), np.array([[BOS_ID] + o])).data[0]
+                for s, o in zip(srcs, outs)]
+        for t, step in enumerate(rec.steps):
+            live = [b for b in range(len(srcs)) if lengths[b] >= t]  # EOS at t is live at t
+            assert step.shape == (len(live), m.config.vocab_size)
+            for row, b in zip(step, live):
+                assert np.abs(row - refs[b][t]).max() <= 1e-10
+
+    def test_outputs_pass_teacher_forced_check(self):
+        m = eos_prone_model()
+        srcs = staggered_sources()
+        outs = m.greedy_decode_batch(srcs)
+        assert teacher_forced_inconsistent(m, srcs, outs) == []
+        # the check itself rejects a greedy output with its last token changed
+        b = next(i for i, o in enumerate(outs) if o)
+        wrong = list(outs[b])
+        wrong[-1] = 4 if wrong[-1] != 4 else 5
+        assert teacher_forced_inconsistent(m, [srcs[b]], [wrong]) == [0]
+
+    def test_never_eos_model_stops_at_cap(self):
+        m = Transformer(tiny_config(weight_tying=False, max_len=32), seed=3)
+        # a large shared offset on every logit but EOS's: EOS never wins
+        m.params["decoder.ln.bias"].data[0] = 100.0
+        m.params["output_proj"].data[:, 0] = 1.0
+        m.params["output_proj"].data[EOS_ID, 0] = 0.0
+        srcs = [[4, 5, 6], [7, 8, 9]]
+        outs = m.greedy_decode_batch(srcs)
+        assert [len(o) for o in outs] == [2 * 3 + 8] * 2
+        assert teacher_forced_inconsistent(m, srcs, outs) == []
+
+
+class TestEmbedOffset:
+    def test_offset_embedding_matches_full_slice(self, model):
+        ids = np.array([[4, 5, 6, 7, 8]])
+        full = model._embed(ids).data
+        np.testing.assert_array_equal(model._embed(ids[:, 2:4], start=2).data,
+                                      full[:, 2:4])
+
+    def test_offset_past_max_len_rejected(self, model):
+        L = model.config.max_len
+        model._embed(np.array([[4, 5]]), start=L - 2)
+        with pytest.raises(ValueError, match="max_len"):
+            model._embed(np.array([[4, 5]]), start=L - 1)
