@@ -57,6 +57,7 @@ def load_checkpoint(path) -> tuple:
             header = json.loads(blob.decode("utf-8"))
         except ValueError as err:  # bad UTF-8 or bad JSON
             raise ValueError(f"{path}: header is not valid JSON: {err}") from err
+        config = _header_config(path, header)
         params = {}
         for name, shape in sorted(header["params"].items()):
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -67,7 +68,19 @@ def load_checkpoint(path) -> tuple:
             params[name] = Tensor(arr, requires_grad=True)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
-    return ModelConfig.from_dict(header["config"]), params, header["extra"]
+    return config, params, header["extra"]
+
+
+def _header_config(path, header) -> ModelConfig:
+    """The ModelConfig of a parsed header that must hold every section."""
+    missing = [k for k in ("config", "extra", "params")
+               if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        return ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as err:  # unknown, missing or invalid settings
+        raise ValueError(f"{path}: bad model config: {err}") from err
 
 
 def load_model(path):

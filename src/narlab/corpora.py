@@ -19,9 +19,15 @@ def write_sentences(path, sentences) -> None:
 def read_sentences(path) -> list:
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            out.append([int(t) for t in line.split()] if line else [])
+        for lineno, line in enumerate(fh, 1):
+            ids = []
+            for t in line.split():
+                try:
+                    ids.append(int(t))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: token {t!r} is not an integer id") from None
+            out.append(ids)
     return out
 
 

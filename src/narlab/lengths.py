@@ -1,14 +1,22 @@
 """Target-length prediction and length-parallel decoding with teacher reranking.
 
 The student emits one candidate per length in [T + C - B, T + C + B]; the
-AR teacher scores each candidate and the best one is returned.  Gold-length
-decoding, the oracle row of the analyses, emits at each reference's length.
+AR teacher scores each candidate and the best one is returned.  Each model
+encodes a group of same-length sources once, and all candidate lengths of
+the group share one right-padded student pass and one teacher pass.
+Gold-length decoding, the oracle row of the analyses, emits at each
+reference's length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from . import tensor as T
+from .tensor import Tensor
 
 RANK_MODES = ("sum_logprob", "mean_logprob")
 
@@ -82,7 +90,8 @@ def _rank_key(cand: ScoredCandidate, center: int):
 
 def score_candidates(student, teacher, src, policy: LengthPolicy,
                      rank_mode: str = "sum_logprob") -> list:
-    """Emit and teacher-score every candidate length for one sentence."""
+    """Emit and teacher-score every candidate length for one sentence, one
+    unpadded pass per length: the reference the stacked decoder is held to."""
     _check_rerank_args(student, teacher, rank_mode)
     out = []
     for L in _usable_lengths(student, teacher, len(src), policy):
@@ -95,39 +104,48 @@ def score_candidates(student, teacher, src, policy: LengthPolicy,
 def length_parallel_decode(student, teacher, src, policy: LengthPolicy,
                            rank_mode: str = "sum_logprob") -> list:
     """The winning candidate's token sequence."""
-    cands = score_candidates(student, teacher, src, policy, rank_mode)
-    center = len(src) + policy.C
-    return max(cands, key=lambda c: _rank_key(c, center)).tokens
+    return length_parallel_decode_corpus(student, teacher, [src], policy, rank_mode)[0]
 
 
 def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
                                   rank_mode: str = "sum_logprob") -> list:
-    """Batched equivalent of per-sentence length_parallel_decode.
-
-    Groups sentences by source length so emissions and teacher scorings run
-    as rectangular batches; selection uses the same ranking key.
-    """
+    """Length-parallel decoding with teacher reranking, per sentence.
+    Groups sentences by source length and scores each group's candidates
+    in one stacked pass per model (``_score_group``)."""
     _check_rerank_args(student, teacher, rank_mode)
     out: list = [None] * len(srcs)
     by_len: dict = {}
     for i, s in enumerate(srcs):
         by_len.setdefault(len(s), []).append(i)
     for T_src, idxs in sorted(by_len.items()):
-        group = [srcs[i] for i in idxs]
+        lens = _usable_lengths(student, teacher, T_src, policy)
+        scored = _score_group(student, teacher, [srcs[i] for i in idxs], lens, rank_mode)
         center = T_src + policy.C
-        cands: dict = {}
-        for L in _usable_lengths(student, teacher, T_src, policy):
-            emitted = student.nar_greedy_emit_batch(group, L)
-            totals, means = teacher.sequence_logprob_batch(group, emitted)
-            scores = totals if rank_mode == "sum_logprob" else means
-            cands[L] = (emitted, scores)
-        for j, i in enumerate(idxs):
-            scored = [
-                ScoredCandidate(L, emitted[j], float(scores[j]))
-                for L, (emitted, scores) in sorted(cands.items())
-            ]
-            out[i] = max(scored, key=lambda c: _rank_key(c, center)).tokens
+        for i, cands in zip(idxs, scored):
+            out[i] = max(cands, key=lambda c: _rank_key(c, center)).tokens
     return out
+
+
+def _score_group(student, teacher, group, lens, rank_mode: str) -> list:
+    """Every candidate of G same-length sources at each of the K lengths
+    ``lens``: one list of ScoredCandidate per source.
+
+    Each model encodes the group once.  The K * G candidate rows, ordered
+    length-major and right-padded to the longest length, then take one
+    student pass and one teacher pass.
+    """
+    K, G = len(lens), len(group)
+    src_ids = np.stack([student._check_ids(s, "source") for s in group])
+    with T.no_grad():
+        s_enc, t_enc = (Tensor(np.tile(m.encode_batch(src_ids).data, (K, 1, 1)))
+                        for m in (student, teacher))
+    rows = list(group) * K
+    emitted = student.nar_greedy_emit_batch(rows, np.repeat(lens, G), enc_out=s_enc)
+    totals, means = teacher.sequence_logprob_batch(rows, emitted, enc_out=t_enc)
+    scores = totals if rank_mode == "sum_logprob" else means
+    return [[ScoredCandidate(lens[k], emitted[k * G + j], float(scores[k * G + j]))
+             for k in range(K)]
+            for j in range(G)]
 
 
 def gold_length_decode(student, srcs, refs) -> list:

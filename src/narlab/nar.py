@@ -3,10 +3,12 @@ input, non-causal decoder self-attention, and learned positional embeddings
 added at the input of every decoder layer.
 
 The decoder layer loop is ``Transformer._decode_hidden``; this flavor only
-supplies its two differences (no self-attention mask, positions re-added
-per layer).  There is no positional self-attention module; target positions
-get their position information solely from these per-layer embeddings, and
-the decoder emits all positions in one parallel pass.
+supplies its two differences (no causal self-attention mask, positions
+re-added per layer).  There is no positional self-attention module; target
+positions get their position information solely from these per-layer
+embeddings, and the decoder emits all positions in one parallel pass.
+Candidates of several target lengths can share that pass as right-padded
+rows; a key-padding mask then keeps every position off the padding.
 """
 
 from __future__ import annotations
@@ -20,31 +22,41 @@ from .tensor import Tensor
 from .transformer import NAR, Transformer
 
 
-def soft_copy_weights(src_len: int, target_len: int, sigma_sq: Tensor,
+def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor,
                       normalize: bool = True) -> Tensor:
     """Gaussian kernel weights W (target_len, src_len).
 
     Positions are 1-based: W[t, i] ~ exp(-(i - (T/T')*t)^2 / (2 sigma^2)),
     so the last target position centers on the last source position.  With
     ``normalize`` each row sums to 1; otherwise the raw Gaussian density
-    (including its 1/sqrt(2 pi sigma^2) factor) is used.
+    (including its 1/sqrt(2 pi sigma^2) factor) is used.  ``target_len``
+    may instead be a sequence of K lengths: W is then (K, max length,
+    src_len), block k holding the weights for its own length followed by
+    zero rows (right padding).
     """
-    if src_len < 1 or target_len < 1:
+    lens = np.asarray(target_len)
+    if src_len < 1 or lens.min() < 1:
         raise ValueError(f"soft_copy needs positive lengths, got T={src_len}, T'={target_len}")
     i = np.arange(1, src_len + 1, dtype=np.float64)[None, :]
-    t = np.arange(1, target_len + 1, dtype=np.float64)[:, None]
-    sq_dist = (i - (src_len / target_len) * t) ** 2
+    t = np.arange(1, lens.max() + 1, dtype=np.float64)[:, None]
+    ratio = (src_len / lens)[..., None, None]
+    sq_dist = (i - ratio * t) ** 2
     scaled = Tensor(-0.5 * sq_dist) / sigma_sq
     if normalize:
-        return T.softmax(scaled)
-    norm = T.exp(T.log(sigma_sq) * Tensor(-0.5)) * Tensor(1.0 / math.sqrt(2.0 * math.pi))
-    return T.exp(scaled) * norm
+        w = T.softmax(scaled)
+    else:
+        norm = T.exp(T.log(sigma_sq) * Tensor(-0.5)) * Tensor(1.0 / math.sqrt(2.0 * math.pi))
+        w = T.exp(scaled) * norm
+    if lens.ndim:
+        w = T.masked_fill(w, t <= lens[:, None, None], 0.0)
+    return w
 
 
-def soft_copy(enc_out: Tensor, target_len: int, sigma_sq: Tensor,
+def soft_copy(enc_out: Tensor, target_len, sigma_sq: Tensor,
               normalize: bool = True) -> Tensor:
     """Soft-copy encoded sources (..., T, d) to (..., target_len, d); one
-    weight matrix serves a whole rectangular batch."""
+    weight matrix serves a whole rectangular batch.  With one target length
+    per row of ``enc_out`` the rows come out right-padded with zeros."""
     w = soft_copy_weights(enc_out.shape[-2], target_len, sigma_sq, normalize)
     return T.matmul(w, enc_out)
 
@@ -61,24 +73,33 @@ class NARTransformer(Transformer):
     def sigma_sq(self) -> Tensor:
         return T.exp(self.params["soft_copy.rho"])
 
-    def _self_attn_mask(self, n: int) -> None:
-        return None  # non-causal: every position attends every other
+    def _self_attn_mask(self, n: int, lengths: np.ndarray | None = None) -> np.ndarray | None:
+        # non-causal: every position attends every other one of its row,
+        # padding excepted
+        if lengths is None:
+            return None
+        return (np.arange(n) < lengths[:, None])[:, None, None, :]
 
     def _layer_input(self, x: Tensor, layer: int) -> Tensor:
         table = (f"decoder.layer{layer}.pos_embedding" if self.config.per_layer_pos_tables
                  else "decoder.pos_embedding")
         return x + T.gather_rows(self.params[table], np.arange(x.shape[1]))
 
-    def _soft_copy_batch(self, enc_out: Tensor, target_len: int) -> Tensor:
+    def _soft_copy_batch(self, enc_out: Tensor, target_len) -> Tensor:
         return soft_copy(enc_out, target_len, self.sigma_sq, self.config.kernel_normalize)
 
-    def nar_logits_batch(self, src_ids: np.ndarray, target_len: int, rng=None,
+    def nar_logits_batch(self, src_ids: np.ndarray, target_len, rng=None,
                          enc_out: Tensor | None = None,
                          dec_in: Tensor | None = None) -> Tensor:
-        """Parallel logits (B, target_len, V).  ``enc_out`` / ``dec_in``
-        replace the encoder output and the soft-copied decoder input, so
+        """Parallel logits (B, target_len, V).  ``target_len`` may instead
+        hold one length per row: rows are then right-padded to the longest,
+        and a key-padding mask keeps every position off the padding.
+        ``enc_out`` / ``dec_in`` replace the encoder output and the
+        soft-copied decoder input, so callers can encode once and
         perturbation tests can feed in altered ones."""
-        if not 1 <= target_len <= self.config.max_len:
+        lengths = None if np.ndim(target_len) == 0 else np.asarray(target_len)
+        lo, hi = np.min(target_len), np.max(target_len)
+        if not 1 <= lo <= hi <= self.config.max_len:
             raise ValueError(
                 f"target_len {target_len} outside [1, {self.config.max_len}]"
             )
@@ -86,7 +107,7 @@ class NARTransformer(Transformer):
             enc_out = self.encode_batch(src_ids, rng)
         if dec_in is None:
             dec_in = self._soft_copy_batch(enc_out, target_len)
-        return self._project(self._decode_hidden(dec_in, enc_out, rng))
+        return self._project(self._decode_hidden(dec_in, enc_out, rng, lengths=lengths))
 
     # -- public single-sentence API ------------------------------------
     def nar_forward(self, src, target_len: int) -> np.ndarray:
@@ -100,11 +121,15 @@ class NARTransformer(Transformer):
     def nar_greedy_emit(self, src, target_len: int) -> list:
         return self.nar_greedy_emit_batch([src], target_len)[0]
 
-    def nar_greedy_emit_batch(self, srcs, target_len: int) -> list:
-        """Position-wise argmax emissions; every output has length target_len.
-        All sources in the batch must share one length."""
+    def nar_greedy_emit_batch(self, srcs, target_len, enc_out: Tensor | None = None) -> list:
+        """Position-wise argmax emissions in one parallel pass.  All sources
+        in the batch must share one length.  ``target_len`` is one length
+        for every row, or one per row (the rows are then right-padded inside
+        the pass); each output has its row's length.  ``enc_out`` is the
+        encoder output of ``srcs``, if already known."""
         src_ids = np.stack([self._check_ids(s, "source") for s in srcs])
+        lengths = np.broadcast_to(target_len, len(srcs))
         with T.no_grad():
-            logits = self.nar_logits_batch(src_ids, target_len)
+            logits = self.nar_logits_batch(src_ids, target_len, enc_out=enc_out)
         ids = np.argmax(logits.data, axis=-1)
-        return [[int(t) for t in row] for row in ids]
+        return [[int(t) for t in row[:L]] for row, L in zip(ids, lengths)]

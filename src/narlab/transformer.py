@@ -3,8 +3,12 @@
 Pre-LN residual blocks, sinusoidal positional encodings at the embedding
 layer, shared source/target embedding table optionally tied to the output
 projection.  All batched entry points take rectangular id arrays: callers
-group sentences by exact length, so no padding is ever present inside the
-model and attention masks reduce to the causal mask alone.  Greedy decoding
+group sentences by exact source length, so sources are never padded.  The
+only padding inside the model is on the right of decoder rows, in the
+length-parallel rerank pass, where candidates of several lengths share one
+batch: the teacher's causal mask already hides it from every earlier
+position, and the student's decoder, which has no causal mask, hides it
+with a key-padding mask built from the per-row lengths.  Greedy decoding
 feeds one position per step, which attends over the cached keys and values
 of the positions before it and so needs no mask at all.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .util import rng_for
-from .vocab import BOS_ID, EOS_ID, N_RESERVED
+from .vocab import BOS_ID, EOS_ID, N_RESERVED, PAD_ID
 
 # paper-scale base configuration, recorded for reference configs; desk-scale
 # defaults live on ModelConfig itself
@@ -280,7 +284,8 @@ class Transformer:
             x = x + _dropout(f, cfg.dropout_rate, rng)
         return _ln(p, "encoder.ln", x)
 
-    def _self_attn_mask(self, n: int) -> np.ndarray | None:
+    def _self_attn_mask(self, n: int, lengths: np.ndarray | None = None) -> np.ndarray | None:
+        # the causal mask keeps each position off the right padding after it
         return make_causal_mask(n)
 
     def _layer_input(self, x: Tensor, layer: int) -> Tensor:
@@ -305,13 +310,16 @@ class Transformer:
         return self_kv, cache[ca]
 
     def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None,
-                       cache: dict | None = None) -> Tensor:
+                       cache: dict | None = None,
+                       lengths: np.ndarray | None = None) -> Tensor:
         # dec_in (B, Lt, d) already embedded; the flavor decides the
-        # self-attention mask and what each layer adds to its input.  With a
-        # ``cache`` (AR greedy decoding) dec_in is only the next position,
-        # which may attend every cached one, so no mask applies.
+        # self-attention mask and what each layer adds to its input.
+        # ``lengths`` (B,) marks right-padded rows, each valid up to its
+        # length.  With a ``cache`` (AR greedy decoding) dec_in is only the
+        # next position, which may attend every cached one, so no mask
+        # applies.
         p, cfg = self.params, self.config
-        allowed = None if cache is not None else self._self_attn_mask(dec_in.shape[1])
+        allowed = None if cache is not None else self._self_attn_mask(dec_in.shape[1], lengths)
         x = dec_in
         for i in range(cfg.num_layers):
             x = self._layer_input(x, i)
@@ -412,17 +420,25 @@ class Transformer:
         total, mean = self.sequence_logprob_batch([src], [tgt])
         return float(total[0]), float(mean[0])
 
-    def sequence_logprob_batch(self, srcs, tgts) -> tuple:
-        """Batched scoring; all srcs share one length and all tgts another."""
+    def sequence_logprob_batch(self, srcs, tgts, enc_out: Tensor | None = None) -> tuple:
+        """Batched scoring in one teacher-forced pass: (sums, means) over
+        each row's own target positions, no EOS term.  All srcs share one
+        length; tgts may differ in length and are right-padded with PAD_ID,
+        which the causal mask hides from every scored position.
+        ``enc_out`` is the encoder output of ``srcs``, if already known."""
         src_ids = np.stack([self._check_ids(s, "source") for s in srcs])
-        tgt_ids = np.stack([self._check_ids(t, "target") for t in tgts])
-        n = tgt_ids.shape[1]
+        tgts = [self._check_ids(t, "target") for t in tgts]
+        lengths = np.array([len(t) for t in tgts])
+        n = lengths.max()
+        tgt_ids = np.full((len(tgts), n), PAD_ID, dtype=np.int64)
+        for row, t in zip(tgt_ids, tgts):
+            row[: len(t)] = t
         tgt_in = np.concatenate(
-            [np.full((len(srcs), 1), BOS_ID, dtype=np.int64), tgt_ids[:, : n - 1]], axis=1
+            [np.full((len(tgts), 1), BOS_ID, dtype=np.int64), tgt_ids[:, : n - 1]], axis=1
         )
         with T.no_grad():
-            logits = self.ar_logits_batch(src_ids, tgt_in)
+            logits = self.ar_logits_batch(src_ids, tgt_in, enc_out=enc_out)
             logp = T.log_softmax(logits).data
         rows = np.take_along_axis(logp, tgt_ids[:, :, None], axis=2)[:, :, 0]
-        totals = rows.sum(axis=1)
-        return totals, totals / n
+        totals = np.where(np.arange(n) < lengths[:, None], rows, 0.0).sum(axis=1)
+        return totals, totals / lengths

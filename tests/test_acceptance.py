@@ -28,6 +28,7 @@ from narlab.lengths import (
     LengthPolicy,
     candidate_lengths,
     estimate_C,
+    gold_length_decode,
     length_parallel_decode,
     score_candidates,
 )
@@ -89,21 +90,6 @@ N_MONO_SUB = 6000
 def exact_match_accuracy(teacher, pairs) -> float:
     hyps = teacher.greedy_decode_batch([s for s, _ in pairs])
     return float(np.mean([h == t for h, (_, t) in zip(hyps, pairs)]))
-
-
-def gold_length_decode(student, pairs) -> list:
-    """NAR emissions at each reference's length, batched by shape."""
-    srcs = [s for s, _ in pairs]
-    refs = [t for _, t in pairs]
-    hyps = [None] * len(srcs)
-    by_shape = {}
-    for i, (s, r) in enumerate(zip(srcs, refs)):
-        by_shape.setdefault((len(s), len(r)), []).append(i)
-    for (_, lt), idxs in sorted(by_shape.items()):
-        emitted = student.nar_greedy_emit_batch([srcs[i] for i in idxs], lt)
-        for i, h in zip(idxs, emitted):
-            hyps[i] = h
-    return hyps
 
 
 @pytest.fixture(scope="session")
@@ -224,8 +210,9 @@ def test_criterion_2_teacher_convergence(desk_teacher):
 def test_criterion_3_distillation_fidelity(reversal_family):
     entry = reversal_family["students"][1.0]
     dist_test = reversal_family["dist_test"]
-    hyps = gold_length_decode(entry["student"], dist_test)
-    bleu = corpus_bleu(hyps, [t for _, t in dist_test]).bleu
+    refs = [t for _, t in dist_test]
+    hyps = gold_length_decode(entry["student"], [s for s, _ in dist_test], refs)
+    bleu = corpus_bleu(hyps, refs).bleu
     verdict(3, "gold-length student BLEU >= 90 vs teacher outputs",
             bleu >= 90.0, f"BLEU {bleu:.2f} on {len(dist_test)} held-out")
 
@@ -268,8 +255,7 @@ def test_criterion_6_length_buckets(reversal_family):
     srcs = [s for s, _ in dist_test]
     degradation = {}
     for f in (0.0, 1.0):
-        hyps = gold_length_decode(reversal_family["students"][f]["student"],
-                                  dist_test)
+        hyps = gold_length_decode(reversal_family["students"][f]["student"], srcs, refs)
         rows = bucket_bleu(hyps, refs, srcs).rows
         present = [r.bleu for r in rows if r.bleu is not None]
         degradation[f] = present[0] - present[-1]

@@ -289,6 +289,22 @@ def _damaged_student(edit):
 HEADER = len(MAGIC) + 8  # offset of a checkpoint's JSON header
 
 
+def _rewritten_header(change):
+    """A translate call whose student checkpoint header ``change`` has
+    rewritten as other valid JSON."""
+    def edit(b):
+        n = int.from_bytes(b[len(MAGIC):HEADER], "big")
+        blob = json.dumps(change(json.loads(b[HEADER:HEADER + n]))).encode()
+        return MAGIC + len(blob).to_bytes(8, "big") + blob + b[HEADER + n:]
+    return _damaged_student(edit)
+
+
+def _bad_token_input(tmp):
+    argv, _ = _damaged_student(lambda b: b)(tmp)
+    (tmp / "in.txt").write_text("4 5 6\n4 x 6\n")
+    return argv, f"{tmp / 'in.txt'}:2"
+
+
 # each row: a malformed input that must fail with exit code 2 and one
 # error line that names it
 MALFORMED = {
@@ -297,6 +313,14 @@ MALFORMED = {
     "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
     "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
     "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
+    "header lacks params": _rewritten_header(lambda h: {"config": {}}),
+    "header lacks config": _rewritten_header(lambda h: {k: v for k, v in h.items()
+                                                        if k != "config"}),
+    "header config key unknown": _rewritten_header(
+        lambda h: {**h, "config": {**h["config"], "depth": 3}}),
+    "header config incomplete": _rewritten_header(
+        lambda h: {**h, "config": {"num_layers": 1}}),
+    "input token not an integer": _bad_token_input,
 }
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from narlab import tensor as T
 from narlab.lengths import (
     LengthPolicy,
     ScoredCandidate,
+    _score_group,
+    _usable_lengths,
     candidate_lengths,
     estimate_C,
     gold_length_decode,
@@ -14,6 +17,7 @@ from narlab.lengths import (
 from narlab.nar import NARTransformer
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
+from narlab.vocab import BOS_ID, PAD_ID
 
 
 def small_cfg(**kw):
@@ -170,6 +174,74 @@ class TestDecode:
     def test_no_representable_candidate_raises(self, student, teacher):
         with pytest.raises(ValueError, match="max_len"):
             length_parallel_decode(student, teacher, [4] * 8, LengthPolicy(C=40, B=1))
+
+
+def _groups(rng, per_length=3):
+    """Sources of lengths 1..8, a few per length, with the candidate
+    windows C=0, B=3 (clamped at 1 for lengths 1..3), plus one group whose
+    window C=24, B=2 the teacher's max_len cuts to [30, 31]."""
+    for T_src in range(1, 9):
+        yield ([[int(x) for x in rng.integers(4, 16, size=T_src)]
+                for _ in range(per_length)], LengthPolicy(C=0, B=3))
+    yield [[int(x) for x in rng.integers(4, 16, size=8)] for _ in range(2)], \
+        LengthPolicy(C=24, B=2)
+
+
+class TestStackedPass:
+    """The stacked rerank pass against unpadded per-length passes."""
+
+    def test_matches_per_length_passes(self, student, teacher):
+        rng = rng_for(3, "stacked")
+        seen_windows = set()
+        for group, policy in _groups(rng):
+            lens = _usable_lengths(student, teacher, len(group[0]), policy)
+            seen_windows.add(tuple(lens))
+            for mode, pick in (("sum_logprob", 0), ("mean_logprob", 1)):
+                stacked = _score_group(student, teacher, group, lens, mode)
+                for k, L in enumerate(lens):
+                    emitted = student.nar_greedy_emit_batch(group, L)
+                    scores = teacher.sequence_logprob_batch(group, emitted)[pick]
+                    for j, cands in enumerate(stacked):
+                        assert cands[k].length == L
+                        assert cands[k].tokens == emitted[j]
+                        assert abs(cands[k].score - scores[j]) <= 1e-12
+        assert {(1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (30, 31)} <= seen_windows
+
+    @staticmethod
+    def _stacked_rows(rng, model, lens, G=3, T_src=5):
+        """K * G length-major rows of G sources, with their encoding."""
+        group = rng.integers(4, 16, size=(G, T_src))
+        with T.no_grad():
+            enc = model.encode_batch(group)
+        return (np.tile(group, (len(lens), 1)), np.repeat(lens, G),
+                T.Tensor(np.tile(enc.data, (len(lens), 1, 1))))
+
+    def test_student_ignores_padded_rows(self, student):
+        rng = rng_for(4, "stacked-student")
+        src, row_lens, enc = self._stacked_rows(rng, student, [2, 5, 7])
+        pad = np.arange(7)[None, :] >= row_lens[:, None]
+        with T.no_grad():
+            dec = student._soft_copy_batch(enc, row_lens)
+            assert not dec.data[pad].any()  # zero rows after each length
+            base = student.nar_logits_batch(src, row_lens, enc_out=enc, dec_in=dec).data
+            noisy = dec.data + pad[:, :, None] * rng.standard_normal(dec.shape)
+            pert = student.nar_logits_batch(src, row_lens, enc_out=enc,
+                                            dec_in=T.Tensor(noisy)).data
+        assert np.abs(pert - base)[pad].max() > 1e-3  # the padding was changed
+        np.testing.assert_array_equal(pert[~pad], base[~pad])
+
+    def test_teacher_ignores_pad_ids(self, teacher):
+        rng = rng_for(5, "stacked-teacher")
+        src, row_lens, enc = self._stacked_rows(rng, teacher, [2, 5, 7])
+        pad = np.arange(7)[None, :] > row_lens[:, None]  # after BOS and L tokens
+        tgt_in = np.where(pad, PAD_ID, rng.integers(4, 16, size=pad.shape))
+        tgt_in[:, 0] = BOS_ID
+        other = np.where(pad, rng.integers(4, 16, size=pad.shape), tgt_in)
+        with T.no_grad():
+            base = teacher.ar_logits_batch(src, tgt_in, enc_out=enc).data
+            pert = teacher.ar_logits_batch(src, other, enc_out=enc).data
+        valid = np.arange(7)[None, :] < row_lens[:, None]
+        np.testing.assert_array_equal(pert[valid], base[valid])
 
 
 class TestGoldLength:
