@@ -24,8 +24,9 @@ from .distill import (
     mix_monolingual,
     strip_origin,
 )
-from .evaluate import b_sweep, bucket_bleu, corpus_bleu, loss_gap_analysis, write_loss_gap_plot
-from .lengths import LengthPolicy, estimate_C, gold_length_decode, length_parallel_decode_corpus
+from .evaluate import b_sweep, bucket_bleu, corpus_bleu, loss_gap_analysis
+from .lengths import (RANK_MODES, LengthPolicy, estimate_C, gold_length_decode,
+                      length_parallel_decode_corpus)
 from .nar import NARTransformer
 from .tasks import generate_corpus, generate_monolingual
 from .training import dataset_loss, init_student_from_teacher, train
@@ -48,6 +49,24 @@ def _resolve(args) -> RunConfig:
     if args.config:
         return load_config(args.config, overrides)
     return default_config(overrides)
+
+
+def _check_lines(path, sentences, config=None) -> list:
+    """``sentences`` as read from ``path``, once no line is empty and, given
+    a model ``config``, every line holds content ids only and fits within
+    its ``max_len``; otherwise a CommandError naming the first bad line."""
+    for lineno, s in enumerate(sentences, 1):
+        bad = [t for t in s if config and not N_RESERVED <= t < config.vocab_size]
+        if not s:
+            reason = "empty line"
+        elif bad:
+            reason = f"token {bad[0]} is not a content id in [{N_RESERVED}, {config.vocab_size})"
+        elif config and len(s) > config.max_len:
+            reason = f"{len(s)} tokens exceed max_len {config.max_len}"
+        else:
+            continue
+        raise CommandError(f"{path}:{lineno}: {reason}")
+    return sentences
 
 
 def _load_model(path, flavor: str) -> tuple:
@@ -210,12 +229,15 @@ def cmd_translate(args) -> int:
     out = run_dir(cfg)
     student_path = Path(args.student) if args.student else out / "student.ckpt"
     student, s_extra = _load_model(_require(student_path, "run train-student first"), NAR)
-    srcs = read_sentences(_require(Path(args.input), "input sentence file"))
+    src_path = _require(Path(args.input), "input sentence file")
+    srcs = _check_lines(src_path, read_sentences(src_path), student.config)
+    refs = (_check_lines(args.gold_lengths, read_sentences(Path(args.gold_lengths)))
+            if args.gold_lengths else None)
     with RunLock(out):
         write_resolved(cfg, out)
     length = cfg.length
-    if args.gold_lengths:
-        hyps = gold_length_decode(student, srcs, read_sentences(Path(args.gold_lengths)))
+    if refs is not None:
+        hyps = gold_length_decode(student, srcs, refs)
     else:
         teacher, _ = _load_model(args.teacher if args.teacher else out / "teacher.ckpt", AR)
         C = length.C if length.C is not None else int(s_extra.get("length_offset", 0))
@@ -277,7 +299,6 @@ def cmd_analyze(args) -> int:
             for r in rows:
                 fh.write(f"{r.fraction} {r.train_loss:.6f} {r.test_loss:.6f} "
                          f"{r.gap:.6f}\n")
-        write_loss_gap_plot(out.with_suffix(".dat"), rows)
         for r in rows:
             print(f"fraction {r.fraction}: train {r.train_loss:.4f} "
                   f"test {r.test_loss:.4f} gap {r.gap:.4f}")
@@ -376,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", help="teacher checkpoint for reranking")
     p.add_argument("--half-width", type=int, metavar="B",
                    help="candidate half-width (override of length.B)")
-    p.add_argument("--rank-mode", choices=("sum_logprob", "mean_logprob"),
+    p.add_argument("--rank-mode", choices=RANK_MODES,
                    help="override of length.rank_mode")
     dedup = p.add_mutually_exclusive_group()
     dedup.add_argument("--dedup", action="store_true", default=None,
@@ -412,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory holding test.src / test.tgt references")
     q.add_argument("--b-values", default="0,1,2,3")
     q.add_argument("--length-offset", default="0", metavar="C")
-    q.add_argument("--rank-mode", choices=("sum_logprob", "mean_logprob"),
-                   default="sum_logprob")
+    q.add_argument("--rank-mode", choices=RANK_MODES, default=RANK_MODES[0])
     q.add_argument("--smooth", action="store_true")
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(fn=cmd_analyze)

@@ -38,7 +38,6 @@ class ModelSection:
     dropout_rate: float = 0.0
     weight_tying: bool = True
     per_layer_pos_tables: bool = False
-    kernel_normalize: bool = True
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,3 @@ def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)

@@ -193,10 +193,3 @@ def loss_gap_analysis(runs: dict, required=(0.0, 0.25, 0.5, 1.0)) -> list:
                                float(r["test_loss"]) - float(r["train_loss"])))
     return rows
 
-
-def write_loss_gap_plot(path, rows) -> None:
-    """Plot-data file: one 'fraction train test' line per run."""
-    with open(path, "w") as fh:
-        fh.write("# fraction train_loss test_loss\n")
-        for r in rows:
-            fh.write(f"{r.fraction} {r.train_loss:.6f} {r.test_loss:.6f}\n")

@@ -32,6 +32,7 @@ class GradCheckResult:
     passed: bool
     max_err: float
     entries: list[GradCheckEntry] = field(default_factory=list)
+    max_abs_err: float = 0.0  # largest raw |g - fd|, before ABS_FLOOR applies
 
 
 def _rel_err(g: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -64,7 +65,7 @@ def grad_check(f, inputs, h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult
     backward(loss)
 
     entries: list[GradCheckEntry] = []
-    overall = 0.0
+    overall = raw = 0.0
     for k, t in enumerate(inputs):
         g = np.zeros(t.shape, dtype=np.float64) if t.grad is None else np.asarray(t.grad)
         fd = np.zeros(t.shape, dtype=np.float64)
@@ -94,5 +95,7 @@ def grad_check(f, inputs, h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult
             )
         )
         overall = max(overall, float(err.max()))
+        raw = max(raw, float(np.abs(g - fd).max()))
 
-    return GradCheckResult(passed=overall <= tol, max_err=overall, entries=entries)
+    return GradCheckResult(passed=overall <= tol, max_err=overall, entries=entries,
+                           max_abs_err=raw)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+from .util import map_groups
 
 RANK_MODES = ("sum_logprob", "mean_logprob")
 
@@ -113,17 +114,14 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
     Groups sentences by source length and scores each group's candidates
     in one stacked pass per model (``_score_group``)."""
     _check_rerank_args(student, teacher, rank_mode)
-    out: list = [None] * len(srcs)
-    by_len: dict = {}
-    for i, s in enumerate(srcs):
-        by_len.setdefault(len(s), []).append(i)
-    for T_src, idxs in sorted(by_len.items()):
+
+    def rerank(T_src, idxs):
         lens = _usable_lengths(student, teacher, T_src, policy)
         scored = _score_group(student, teacher, [srcs[i] for i in idxs], lens, rank_mode)
         center = T_src + policy.C
-        for i, cands in zip(idxs, scored):
-            out[i] = max(cands, key=lambda c: _rank_key(c, center)).tokens
-    return out
+        return [max(cands, key=lambda c: _rank_key(c, center)).tokens for cands in scored]
+
+    return map_groups([len(s) for s in srcs], rerank)
 
 
 def _score_group(student, teacher, group, lens, rank_mode: str) -> list:
@@ -156,12 +154,8 @@ def gold_length_decode(student, srcs, refs) -> list:
             f"gold-length decoding needs one reference per source, got "
             f"{len(refs)} reference lines for {len(srcs)} source lines"
         )
-    out: list = [None] * len(srcs)
-    by_shape: dict = {}
-    for i, (s, r) in enumerate(zip(srcs, refs)):
-        by_shape.setdefault((len(s), len(r)), []).append(i)
-    for (_, L), idxs in sorted(by_shape.items()):
-        emitted = student.nar_greedy_emit_batch([srcs[i] for i in idxs], L)
-        for i, hyp in zip(idxs, emitted):
-            out[i] = hyp
-    return out
+
+    def emit(shape, idxs):
+        return student.nar_greedy_emit_batch([srcs[i] for i in idxs], shape[1])
+
+    return map_groups([(len(s), len(r)) for s, r in zip(srcs, refs)], emit)

@@ -1,6 +1,7 @@
-"""NAR student: the shared transformer with a Gaussian soft-copy decoder
-input, non-causal decoder self-attention, and learned positional embeddings
-added at the input of every decoder layer.
+"""NAR student: the shared transformer with a soft-copy decoder input (each
+target position a mix of encoder outputs under row-normalized Gaussian
+weights), non-causal decoder self-attention, and learned positional
+embeddings added at the input of every decoder layer.
 
 The decoder layer loop is ``Transformer._decode_hidden``; this flavor only
 supplies its two differences (no causal self-attention mask, positions
@@ -13,8 +14,6 @@ rows; a key-padding mask then keeps every position off the padding.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -22,17 +21,14 @@ from .tensor import Tensor
 from .transformer import NAR, Transformer
 
 
-def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor,
-                      normalize: bool = True) -> Tensor:
-    """Gaussian kernel weights W (target_len, src_len).
+def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor) -> Tensor:
+    """Gaussian kernel weights W (target_len, src_len), each row summing to 1.
 
     Positions are 1-based: W[t, i] ~ exp(-(i - (T/T')*t)^2 / (2 sigma^2)),
-    so the last target position centers on the last source position.  With
-    ``normalize`` each row sums to 1; otherwise the raw Gaussian density
-    (including its 1/sqrt(2 pi sigma^2) factor) is used.  ``target_len``
-    may instead be a sequence of K lengths: W is then (K, max length,
-    src_len), block k holding the weights for its own length followed by
-    zero rows (right padding).
+    so the last target position centers on the last source position.
+    ``target_len`` may instead be a sequence of K lengths: W is then (K, max
+    length, src_len), block k holding the weights for its own length
+    followed by zero rows (right padding).
     """
     lens = np.asarray(target_len)
     if src_len < 1 or lens.min() < 1:
@@ -41,23 +37,17 @@ def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor,
     t = np.arange(1, lens.max() + 1, dtype=np.float64)[:, None]
     ratio = (src_len / lens)[..., None, None]
     sq_dist = (i - ratio * t) ** 2
-    scaled = Tensor(-0.5 * sq_dist) / sigma_sq
-    if normalize:
-        w = T.softmax(scaled)
-    else:
-        norm = T.exp(T.log(sigma_sq) * Tensor(-0.5)) * Tensor(1.0 / math.sqrt(2.0 * math.pi))
-        w = T.exp(scaled) * norm
+    w = T.softmax(Tensor(-0.5 * sq_dist) / sigma_sq)
     if lens.ndim:
         w = T.masked_fill(w, t <= lens[:, None, None], 0.0)
     return w
 
 
-def soft_copy(enc_out: Tensor, target_len, sigma_sq: Tensor,
-              normalize: bool = True) -> Tensor:
+def soft_copy(enc_out: Tensor, target_len, sigma_sq: Tensor) -> Tensor:
     """Soft-copy encoded sources (..., T, d) to (..., target_len, d); one
     weight matrix serves a whole rectangular batch.  With one target length
     per row of ``enc_out`` the rows come out right-padded with zeros."""
-    w = soft_copy_weights(enc_out.shape[-2], target_len, sigma_sq, normalize)
+    w = soft_copy_weights(enc_out.shape[-2], target_len, sigma_sq)
     return T.matmul(w, enc_out)
 
 
@@ -86,7 +76,7 @@ class NARTransformer(Transformer):
         return x + T.gather_rows(self.params[table], np.arange(x.shape[1]))
 
     def _soft_copy_batch(self, enc_out: Tensor, target_len) -> Tensor:
-        return soft_copy(enc_out, target_len, self.sigma_sq, self.config.kernel_normalize)
+        return soft_copy(enc_out, target_len, self.sigma_sq)
 
     def nar_logits_batch(self, src_ids: np.ndarray, target_len, rng=None,
                          enc_out: Tensor | None = None,

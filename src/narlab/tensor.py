@@ -38,10 +38,6 @@ def no_grad():
         _grad_enabled = saved
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class _Node:
     __slots__ = ("inputs", "backward_fn")
 
@@ -279,11 +275,6 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     xd = x.data
     return _make(np.log(xd), (x,), lambda g: (g / xd,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _make(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def relu(x: Tensor) -> Tensor:

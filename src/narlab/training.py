@@ -59,12 +59,6 @@ def lr_schedule(step: int, config: TrainConfig, model_dim: int) -> float:
                                            step * config.warmup_steps ** -1.5)
 
 
-def schedule_scale(config: TrainConfig, model_dim: int) -> float:
-    """The fitted multiplier on the raw base-transformer schedule
-    (about 2.0 when peak 0.0014 at model_dim 512 / warmup 4000)."""
-    return config.peak_lr * math.sqrt(model_dim * config.warmup_steps)
-
-
 # ---------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------
@@ -87,28 +81,6 @@ def smoothed_ce_from_logits(logits: Tensor, targets: np.ndarray, eps: float) -> 
     q = _smooth_targets(targets, logits.shape[-1], eps)
     per_pos = (T.log_softmax(logits) * Tensor(q)).sum(axis=-1)
     return per_pos.sum() * Tensor(-1.0 / targets.size)
-
-
-def smoothed_ce_loss(pred: Tensor, target, eps: float,
-                     pad_id: int | None = None) -> Tensor:
-    """Label-smoothed CE of predicted distributions against a token sequence.
-
-    ``pred`` holds probabilities (rows sum to 1).  With ``pad_id`` set,
-    positions whose target equals it are excluded from the mean; the
-    rectangular training path never pads, so exclusion is opt-in.
-    """
-    target = np.asarray(target, dtype=np.int64)
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    if pred.shape[:-1] != target.shape:
-        raise ValueError(
-            f"prediction rows {pred.shape[:-1]} do not match target length {target.shape}"
-        )
-    keep = np.ones(target.shape, dtype=bool) if pad_id is None else target != pad_id
-    if not keep.any():
-        raise ValueError("all target positions are padding")
-    q = _smooth_targets(target, pred.shape[-1], eps) * keep[..., None]
-    per_pos = (T.log(pred) * Tensor(q)).sum(axis=-1)
-    return per_pos.sum() * Tensor(-1.0 / keep.sum())
 
 
 # ---------------------------------------------------------------------

@@ -22,12 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .util import rng_for
+from .util import map_groups, rng_for
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, PAD_ID
-
-# paper-scale base configuration, recorded for reference configs; desk-scale
-# defaults live on ModelConfig itself
-PAPER_SCALE = {"num_layers": 6, "num_heads": 8, "model_dim": 512, "hidden_dim": 2048}
 
 AR = "AR"
 NAR = "NAR"
@@ -44,9 +40,8 @@ class ModelConfig:
     dropout_rate: float = 0.0
     flavor: str = AR
     weight_tying: bool = True
-    # NAR-only switches (ignored for AR flavor)
+    # NAR-only switch (ignored for AR flavor)
     per_layer_pos_tables: bool = False
-    kernel_normalize: bool = True
 
     def __post_init__(self):
         if self.flavor not in (AR, NAR):
@@ -378,16 +373,12 @@ class Transformer:
         of the tokens before it, and drops the sentences that have ended.
         """
         srcs = [self._check_ids(s, "source") for s in srcs]
-        out: list = [None] * len(srcs)
-        by_len: dict = {}
-        for i, s in enumerate(srcs):
-            by_len.setdefault(len(s), []).append(i)
-        for T_src, idxs in sorted(by_len.items()):
+
+        def decode(T_src, idxs):
             cap = min(2 * T_src + 8, self.config.max_len - 1)
-            batch = np.stack([srcs[i] for i in idxs])
-            for i, hyp in zip(idxs, self._greedy_group(batch, cap)):
-                out[i] = hyp
-        return out
+            return self._greedy_group(np.stack([srcs[i] for i in idxs]), cap)
+
+        return map_groups([len(s) for s in srcs], decode)
 
     def _greedy_group(self, src_ids: np.ndarray, cap: int) -> list:
         B = src_ids.shape[0]

@@ -1,4 +1,4 @@
-"""Seed derivation and stable hashing shared across modules."""
+"""Seed derivation, stable hashing and group-by-key batching."""
 
 from __future__ import annotations
 
@@ -35,3 +35,17 @@ def stable_bucket(parts, n_buckets: int, *, key: str = "") -> int:
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "big") % n_buckets
 
+
+def map_groups(keys, fn) -> list:
+    """Run ``fn(key, idxs)`` once per distinct value in the list ``keys``, in
+    sorted key order, on the positions ``idxs`` holding that key; ``fn``
+    returns one result per position, and the results come back in input
+    order."""
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    out: list = [None] * len(keys)
+    for k, idxs in sorted(groups.items()):
+        for i, r in zip(idxs, fn(k, idxs)):
+            out[i] = r
+    return out

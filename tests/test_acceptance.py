@@ -40,7 +40,7 @@ from narlab.training import (
     dataset_loss,
     init_student_from_teacher,
     lr_schedule,
-    smoothed_ce_loss,
+    smoothed_ce_from_logits,
     train,
 )
 from narlab.transformer import ModelConfig, Transformer
@@ -197,7 +197,7 @@ def test_criterion_1_gradient_integrity():
     verdict(1, "NAR gradients match finite differences",
             res.passed and wall <= 120.0,
             f"{len(names)} tensors, max rel err {res.max_err:.2e} "
-            f"({names[worst.index]}), {wall:.0f}s")
+            f"({names[worst.index]}), max abs err {res.max_abs_err:.2e}, {wall:.0f}s")
 
 
 def test_criterion_2_teacher_convergence(desk_teacher):
@@ -324,11 +324,11 @@ def test_criterion_8_schedule_and_loss_constants():
     lr_4w = lr_schedule(4 * tc.warmup_steps, tc, model_dim=64)
     sched_ok = abs(lr_peak - tc.peak_lr) <= 1e-6 and abs(lr_4w - tc.peak_lr / 2) <= 1e-9
     # pinned smoothed-CE example: V=4, eps=0.1, target 0,
-    # probs [0.7, 0.1, 0.1, 0.1]
+    # probs [0.7, 0.1, 0.1, 0.1], fed in as logits log p
     from narlab.tensor import Tensor
 
-    pred = Tensor(np.array([[0.7, 0.1, 0.1, 0.1]]))
-    ce = smoothed_ce_loss(pred, np.array([0]), eps=0.1).item()
+    logits = Tensor(np.log(np.array([[0.7, 0.1, 0.1, 0.1]])))
+    ce = smoothed_ce_from_logits(logits, np.array([0]), eps=0.1).item()
     ce_ok = abs(ce - 0.55136) <= 1e-4
     verdict(8, "lr(warmup)=peak, lr(4w)=peak/2, CE oracle 0.55136",
             sched_ok and ce_ok,

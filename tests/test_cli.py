@@ -197,7 +197,7 @@ class TestAnalyzeCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "# fraction train_loss test_loss gap"
         assert len(lines) == 5
-        assert out.with_suffix(".dat").exists()
+        assert not out.with_suffix(".dat").exists()
 
     def test_loss_gap_missing_fraction_named(self, run, tmp_path, capsys):
         assert main(["analyze", "loss-gap", "--run", f"1.0={run}",
@@ -299,10 +299,18 @@ def _rewritten_header(change):
     return _damaged_student(edit)
 
 
-def _bad_token_input(tmp):
-    argv, _ = _damaged_student(lambda b: b)(tmp)
-    (tmp / "in.txt").write_text("4 5 6\n4 x 6\n")
-    return argv, f"{tmp / 'in.txt'}:2"
+def _bad_input(text, lineno, gold=None):
+    """A translate call with a sound student (vocabulary 12, max_len 64)
+    whose input file, or with ``gold`` its --gold-lengths file, is bad at
+    line ``lineno``."""
+    def case(tmp):
+        argv, _ = _damaged_student(lambda b: b)(tmp)
+        (tmp / "in.txt").write_text(text)
+        if gold is None:
+            return argv, f"{tmp / 'in.txt'}:{lineno}"
+        (tmp / "gold.txt").write_text(gold)
+        return argv + ["--gold-lengths", str(tmp / "gold.txt")], f"{tmp / 'gold.txt'}:{lineno}"
+    return case
 
 
 # each row: a malformed input that must fail with exit code 2 and one
@@ -320,7 +328,14 @@ MALFORMED = {
         lambda h: {**h, "config": {**h["config"], "depth": 3}}),
     "header config incomplete": _rewritten_header(
         lambda h: {**h, "config": {"num_layers": 1}}),
-    "input token not an integer": _bad_token_input,
+    "header carries kernel_normalize": _rewritten_header(
+        lambda h: {**h, "config": {**h["config"], "kernel_normalize": True}}),
+    "input token not an integer": _bad_input("4 5 6\n4 x 6\n", 2),
+    "input line empty": _bad_input("4 5 6\n\n4 5\n", 2),
+    "input id past vocabulary": _bad_input("4 5 6\n4 99 6\n", 2),
+    "input holds BOS": _bad_input("4 5 6\n7 1 6\n", 2),
+    "input longer than max_len": _bad_input("4 5 6\n" + "5 " * 65 + "\n", 2),
+    "gold-lengths line empty": _bad_input("4 5 6\n4 5\n", 2, gold="4 5 6\n\n"),
 }
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -12,6 +14,9 @@ from narlab.config import (
     write_resolved,
 )
 from narlab.transformer import AR, NAR
+from narlab.vocab import N_RESERVED
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestRunConfig:
@@ -104,6 +109,16 @@ class TestLoadConfig:
         p.write_text("- a\n- b\n")
         with pytest.raises(ValueError, match="mapping"):
             load_config(p)
+
+
+@pytest.mark.parametrize("name", ["desk.yaml", "paper-scale.yaml"])
+def test_shipped_config_builds_models(name):
+    cfg = load_config(CONFIGS / name)
+    for flavor in (AR, NAR):
+        m = cfg.model_config(flavor)
+        assert m.flavor == flavor
+        assert m.vocab_size == cfg.task.n_content + N_RESERVED
+        assert m.model_dim == cfg.model.model_dim
 
 
 class TestRunDir:

@@ -1,7 +1,8 @@
+import json
+
 import pytest
 
 from narlab.corpora import (
-    read_json,
     read_pairs,
     read_sentences,
     write_json,
@@ -55,7 +56,8 @@ class TestJson:
         obj = {"b": [1, 2], "a": {"nested": True}}
         p = tmp_path / "meta.json"
         write_json(p, obj)
-        assert read_json(p) == obj
+        with open(p) as fh:
+            assert json.load(fh) == obj
 
     def test_key_order_canonical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,7 +9,6 @@ from narlab.evaluate import (
     bucket_bleu,
     corpus_bleu,
     loss_gap_analysis,
-    write_loss_gap_plot,
 )
 from narlab.lengths import LengthPolicy, length_parallel_decode_corpus
 from narlab.nar import NARTransformer
@@ -212,14 +211,3 @@ class TestLossGap:
         runs[0.75] = {"train_loss": 0.74, "test_loss": 0.86}
         rows = loss_gap_analysis(runs)
         assert [r.fraction for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_plot_file_format(self, tmp_path):
-        rows = loss_gap_analysis(self.runs())
-        path = tmp_path / "gap.dat"
-        write_loss_gap_plot(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + len(rows)
-        frac, train, test = lines[1].split()
-        assert float(frac) == 0.0
-        assert float(test) - float(train) == pytest.approx(0.25, abs=1e-9)

@@ -41,6 +41,18 @@ def test_reports_worst_coordinate():
     assert res.entries[0].worst_coord == (0,)
 
 
+def test_reports_raw_error_below_floor():
+    # an error below ABS_FLOOR counts as exact agreement in max_err; the raw
+    # largest |g - fd| is still reported
+    def nudged(x):
+        return T._make(x.data.copy(), (x,), lambda g: (g + 5e-8,))
+
+    x = Tensor(np.array([0.5, 0.25]))
+    res = grad_check(lambda t: nudged(t).sum(), [x])
+    assert res.passed and res.max_err == 0.0
+    assert res.max_abs_err == pytest.approx(5e-8, rel=1e-2)
+
+
 def test_multiple_inputs_reported_separately():
     a = Tensor(np.array([1.0, 2.0]))
     b = Tensor(np.array([3.0, 4.0]))

@@ -1,7 +1,5 @@
 """NAR decoder: soft-copy kernel oracles, non-causality, parallel emission."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -53,13 +51,6 @@ class TestSoftCopyWeights:
         # 1-based indexing: last target row centers on the last source position
         w = soft_copy_weights(6, 9, Tensor(0.3)).data
         assert w[-1].argmax() == 5
-
-    def test_unnormalized_uses_gaussian_density(self):
-        sig = 0.8
-        w = soft_copy_weights(3, 3, Tensor(sig), normalize=False).data
-        # aligned positions are at kernel distance 0
-        np.testing.assert_allclose(np.diag(w), 1.0 / math.sqrt(2 * math.pi * sig), atol=1e-12)
-        assert abs(w[0].sum() - 1.0) > 1e-3
 
     def test_rejects_nonpositive_lengths(self):
         with pytest.raises(ValueError):

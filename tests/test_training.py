@@ -16,15 +16,12 @@ from narlab.training import (
     init_student_from_teacher,
     lr_schedule,
     make_batches,
-    schedule_scale,
     smoothed_ce_from_logits,
-    smoothed_ce_loss,
     train,
 )
 from narlab.nar import NARTransformer
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
-from narlab.vocab import PAD_ID
 
 
 def tiny_config(**kw):
@@ -78,7 +75,6 @@ class TestSchedule:
         peak = 2.0 / math.sqrt(512 * 4000)
         assert peak == pytest.approx(0.001398, abs=1e-5)
         c = TrainConfig(peak_lr=peak, warmup_steps=4000)
-        assert schedule_scale(c, 512) == pytest.approx(2.0, rel=1e-12)
         assert lr_schedule(4000, c, 512) == pytest.approx(peak, rel=1e-12)
 
     def test_unimodal(self):
@@ -94,46 +90,32 @@ class TestSchedule:
             lr_schedule(0, TrainConfig(), 64)
 
 
+def _ce(p, targets, eps):
+    # smoothed CE of the distributions p, fed in as logits log p
+    return smoothed_ce_from_logits(Tensor(np.log(p)), np.asarray(targets), eps).item()
+
+
 class TestSmoothedCE:
     def test_pinned_oracle(self):
         # V=4, eps=0.1, p=(0.7,0.1,0.1,0.1), target 0 -> 0.55136
-        pred = Tensor(np.array([[0.7, 0.1, 0.1, 0.1]]))
-        loss = smoothed_ce_loss(pred, [0], eps=0.1)
-        assert loss.item() == pytest.approx(0.55136, abs=1e-4)
-
-    def test_logits_route_matches_probability_route(self):
-        p = np.array([[0.7, 0.1, 0.1, 0.1], [0.25, 0.25, 0.25, 0.25]])
-        targets = np.array([0, 2])
-        a = smoothed_ce_loss(Tensor(p), targets, eps=0.1).item()
-        b = smoothed_ce_from_logits(Tensor(np.log(p) + 3.0), targets, eps=0.1).item()
-        assert a == pytest.approx(b, abs=1e-12)
+        p = np.array([[0.7, 0.1, 0.1, 0.1]])
+        assert _ce(p, [0], 0.1) == pytest.approx(0.55136, abs=1e-4)
 
     def test_eps_zero_is_plain_nll(self):
         p = np.array([[0.6, 0.3, 0.1]])
-        loss = smoothed_ce_loss(Tensor(p), [1], eps=0.0)
-        assert loss.item() == pytest.approx(-math.log(0.3), abs=1e-12)
+        assert _ce(p, [1], 0.0) == pytest.approx(-math.log(0.3), abs=1e-12)
 
     def test_uniform_prediction_costs_log_v(self):
         v = 8
         p = np.full((3, v), 1.0 / v)
         for eps in (0.0, 0.1, 0.3):
-            loss = smoothed_ce_loss(Tensor(p), [4, 5, 6], eps=eps)
-            assert loss.item() == pytest.approx(math.log(v), abs=1e-12)
-
-    def test_pad_positions_excluded_when_requested(self):
-        p = np.array([[0.7, 0.1, 0.1, 0.1], [0.01, 0.01, 0.01, 0.97]])
-        with_pad = smoothed_ce_loss(Tensor(p), [1, PAD_ID], eps=0.1,
-                                    pad_id=PAD_ID).item()
-        alone = smoothed_ce_loss(Tensor(p[:1]), [1], eps=0.1).item()
-        assert with_pad == pytest.approx(alone, abs=1e-12)
-        with pytest.raises(ValueError):
-            smoothed_ce_loss(Tensor(p), [PAD_ID, PAD_ID], eps=0.1, pad_id=PAD_ID)
+            assert _ce(p, [4, 5, 6], eps) == pytest.approx(math.log(v), abs=1e-12)
 
     def test_mean_over_positions(self):
         p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
-        both = smoothed_ce_loss(Tensor(p), [0, 1], eps=0.2).item()
-        a = smoothed_ce_loss(Tensor(p[:1]), [0], eps=0.2).item()
-        b = smoothed_ce_loss(Tensor(p[1:]), [1], eps=0.2).item()
+        both = _ce(p, [0, 1], 0.2)
+        a = _ce(p[:1], [0], 0.2)
+        b = _ce(p[1:], [1], 0.2)
         assert both == pytest.approx((a + b) / 2.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):

@@ -7,7 +7,6 @@ import pytest
 
 from narlab.tensor import Tensor
 from narlab.transformer import (
-    PAPER_SCALE,
     ModelConfig,
     Transformer,
     init_params,
@@ -33,10 +32,6 @@ class TestConfig:
     def test_desk_defaults(self):
         cfg = ModelConfig(vocab_size=36)
         assert (cfg.num_layers, cfg.num_heads, cfg.model_dim, cfg.hidden_dim) == (2, 4, 64, 256)
-
-    def test_paper_scale_record(self):
-        assert PAPER_SCALE == {"num_layers": 6, "num_heads": 8,
-                               "model_dim": 512, "hidden_dim": 2048}
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError):
