@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict, extra: dict | None 
         for name, p in params.items()
     }
     header = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "extra": extra or {},
         "params": {name: list(a.shape) for name, a in sorted(arrays.items())},
     }
@@ -78,7 +79,7 @@ def _header_config(path, header) -> ModelConfig:
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     try:
-        return ModelConfig.from_dict(header["config"])
+        return ModelConfig(**header["config"])
     except (TypeError, ValueError) as err:  # unknown, missing or invalid settings
         raise ValueError(f"{path}: bad model config: {err}") from err
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
@@ -69,6 +70,11 @@ def _check_lines(path, sentences, config=None) -> list:
     return sentences
 
 
+def _length_offset(C, extra) -> int:
+    """C as given, or else the offset stored in the student's checkpoint."""
+    return C if C is not None else int(extra.get("length_offset", 0))
+
+
 def _load_model(path, flavor: str) -> tuple:
     """(model, checkpoint extras) from a checkpoint that must hold ``flavor``."""
     config, params, extra = load_checkpoint(path)
@@ -95,7 +101,7 @@ def cmd_gen_data(args) -> int:
             write_pairs(data_dir, split, pairs)
         write_sentences(data_dir / "mono.txt", mono)
         write_json(data_dir / "meta.json", {
-            "task": cfg.task.to_dict(),
+            "task": asdict(cfg.task),
             "sizes": {k: len(v) for k, v in corpus.items()},
             "mono_size": len(mono),
             "vocab_size": cfg.task.n_content + N_RESERVED,
@@ -121,8 +127,8 @@ def cmd_train_teacher(args) -> int:
                         curves_path=out / "teacher_curves.jsonl", log=print)
         save_checkpoint(out / "teacher.ckpt", model.config, model.params, {
             "role": "teacher",
-            "task": cfg.task.to_dict(),
-            "train": cfg.train.to_dict(),
+            "task": asdict(cfg.task),
+            "train": asdict(cfg.train),
             "epochs": len(records),
             "final_valid_loss": records[-1].valid_loss,
         })
@@ -149,19 +155,20 @@ def cmd_distill(args) -> int:
                 f"teacher (digest {old.get('teacher_digest')} != {digest}); "
                 f"remove the directory to re-distill"
             )
+    teacher, _ = _load_model(teacher_path, AR)
+    sources = {}
+    for split, name in (("train", "train.src"), ("valid", "valid.src"),
+                        ("test", "test.src"), ("mono", "mono.txt")):
+        path = data_dir / name
+        sources[split] = _check_lines(path, read_sentences(path), teacher.config)
     with RunLock(out):
         write_resolved(cfg, out)
-        teacher, _ = _load_model(teacher_path, AR)
         counts, dropped = {}, {}
-        for split in ("train", "valid", "test"):
-            srcs = [s for s, _ in read_pairs(data_dir, split)]
-            triples, n_drop = distill_corpus(teacher, srcs, PARALLEL)
+        for split, srcs in sources.items():
+            origin = MONOLINGUAL if split == "mono" else PARALLEL
+            triples, n_drop = distill_corpus(teacher, srcs, origin)
             write_pairs(dist_dir, split, [(s, t) for s, t, _ in triples])
             counts[split], dropped[split] = len(triples), n_drop
-        mono_srcs = read_sentences(data_dir / "mono.txt")
-        triples, n_drop = distill_corpus(teacher, mono_srcs, MONOLINGUAL)
-        write_pairs(dist_dir, "mono", [(s, t) for s, t, _ in triples])
-        counts["mono"], dropped["mono"] = len(triples), n_drop
         write_json(meta_path, {
             "teacher_digest": digest,
             "counts": counts,
@@ -201,8 +208,8 @@ def cmd_train_student(args) -> int:
         C_hat = estimate_C(mixed)
         save_checkpoint(out / "student.ckpt", student.config, student.params, {
             "role": "student",
-            "task": cfg.task.to_dict(),
-            "train": cfg.train.to_dict(),
+            "task": asdict(cfg.task),
+            "train": asdict(cfg.train),
             "mono_fraction": cfg.distill.mono_fraction,
             "length_offset": C_hat,
             "epochs": len(records),
@@ -240,8 +247,7 @@ def cmd_translate(args) -> int:
         hyps = gold_length_decode(student, srcs, refs)
     else:
         teacher, _ = _load_model(args.teacher if args.teacher else out / "teacher.ckpt", AR)
-        C = length.C if length.C is not None else int(s_extra.get("length_offset", 0))
-        policy = LengthPolicy(C=C, B=length.B)
+        policy = LengthPolicy(C=_length_offset(length.C, s_extra), B=length.B)
         hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
                                              length.rank_mode)
     if length.dedup:
@@ -305,14 +311,21 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.kind == "b-sweep":
-        students = {name: _load_model(_require(Path(p), "student checkpoint"), NAR)[0]
+        students = {name: _load_model(_require(Path(p), "student checkpoint"), NAR)
                     for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
         teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
-        pairs = read_pairs(Path(args.data), "test")
+        data = Path(args.data)
+        pairs = read_pairs(data, "test")
+        _check_lines(data / "test.tgt", [t for _, t in pairs])
         B_values = [int(b) for b in args.b_values.split(",")]
-        C = int(args.length_offset)
-        report = b_sweep(students, teacher, pairs, B_values, C,
-                         rank_mode=args.rank_mode, smooth=args.smooth)
+        report = {"B_values": B_values, "cells": {}, "gold": {}}
+        for name, (student, extra) in students.items():
+            _check_lines(data / "test.src", [s for s, _ in pairs], student.config)
+            one = b_sweep({name: student}, teacher, pairs, B_values,
+                          _length_offset(args.length_offset, extra),
+                          rank_mode=args.rank_mode, smooth=args.smooth)
+            report["cells"].update(one["cells"])
+            report["gold"].update(one["gold"])
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w") as fh:
@@ -432,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data", required=True,
                    help="directory holding test.src / test.tgt references")
     q.add_argument("--b-values", default="0,1,2,3")
-    q.add_argument("--length-offset", default="0", metavar="C")
+    q.add_argument("--length-offset", type=int, metavar="C",
+                   help="length offset (default: each student's stored offset)")
     q.add_argument("--rank-mode", choices=RANK_MODES, default=RANK_MODES[0])
     q.add_argument("--smooth", action="store_true")
     q.add_argument("-o", "--output", required=True)

@@ -9,7 +9,7 @@ from a snapshot reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import yaml
@@ -17,7 +17,7 @@ import yaml
 from .lengths import RANK_MODES
 from .tasks import TaskSpec
 from .training import TrainConfig
-from .transformer import AR, NAR, ModelConfig
+from .transformer import AR, ModelConfig
 from .vocab import N_RESERVED
 
 #: environment variable holding the default output root for relative
@@ -25,19 +25,15 @@ from .vocab import N_RESERVED
 OUTPUT_ROOT_ENV = "NARLAB_RUNS"
 
 
-@dataclass(frozen=True)
-class ModelSection:
-    """ModelConfig minus vocab_size (derived from the task) and flavor
-    (decided by the command)."""
-
-    num_layers: int = 2
-    num_heads: int = 4
-    model_dim: int = 64
-    hidden_dim: int = 256
-    max_len: int = 64
-    dropout_rate: float = 0.0
-    weight_tying: bool = True
-    per_layer_pos_tables: bool = False
+#: ModelConfig minus vocab_size (derived from the task) and flavor (decided
+#: by the command), with ModelConfig's own defaults
+ModelSection = make_dataclass(
+    "ModelSection",
+    [(f.name, f.type, field(default=f.default)) for f in fields(ModelConfig)
+     if f.name not in ("vocab_size", "flavor")],
+    namespace={"__module__": __name__},  # so the class pickles like one written out
+    frozen=True,
+)
 
 
 @dataclass(frozen=True)
@@ -91,15 +87,15 @@ class RunConfig:
     length: DecodeSection = field(default_factory=DecodeSection)
     output_dir: str = "run"
 
+    def __post_init__(self):
+        self.model_config()  # rejects model settings that no model can take
+
     def model_config(self, flavor: str = AR) -> ModelConfig:
         return ModelConfig(
             vocab_size=self.task.n_content + N_RESERVED,
             flavor=flavor,
             **asdict(self.model),
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -166,7 +162,11 @@ def load_config(path, overrides=()) -> RunConfig:
             raise ValueError(f"config {path} is not valid YAML: {_one_line(err)}") from err
     if not isinstance(d, dict):
         raise ValueError(f"config root of {path} must be a mapping")
-    return RunConfig.from_dict(apply_overrides(d, overrides))
+    d = apply_overrides(d, overrides)
+    try:
+        return RunConfig.from_dict(d)
+    except (TypeError, ValueError) as err:  # unknown keys or bad values
+        raise ValueError(f"config {path}: {_one_line(err)}") from err
 
 
 def default_config(overrides=()) -> RunConfig:
@@ -187,7 +187,7 @@ def write_resolved(config: RunConfig, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "resolved.yaml"
     with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
+        yaml.safe_dump(asdict(config), fh, sort_keys=True)
     return path
 
 

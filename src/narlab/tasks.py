@@ -13,7 +13,7 @@ drawn.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .util import rng_for, stable_bucket
 from .vocab import N_RESERVED, Vocabulary
@@ -49,13 +49,6 @@ class TaskSpec:
     @property
     def vocab(self) -> Vocabulary:
         return Vocabulary(self.n_content)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "TaskSpec":
-        return TaskSpec(**d)
 
 
 def content_permutation(spec: TaskSpec) -> dict:

@@ -42,13 +42,6 @@ class TrainConfig:
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
-
 
 def lr_schedule(step: int, config: TrainConfig, model_dim: int) -> float:
     """Inverse-sqrt schedule with the scale fitted so lr(warmup) == peak_lr."""

@@ -1,7 +1,7 @@
 """Encoder-decoder transformer: the AR teacher and the NAR student backbone.
 
 Pre-LN residual blocks, sinusoidal positional encodings at the embedding
-layer, shared source/target embedding table optionally tied to the output
+layer, one embedding table shared by source, target and the output
 projection.  All batched entry points take rectangular id arrays: callers
 group sentences by exact source length, so sources are never padded.  The
 only padding inside the model is on the right of decoder rows, in the
@@ -16,7 +16,7 @@ of the positions before it and so needs no mask at all.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class ModelConfig:
     max_len: int = 64
     dropout_rate: float = 0.0
     flavor: str = AR
-    weight_tying: bool = True
     # NAR-only switch (ignored for AR flavor)
     per_layer_pos_tables: bool = False
 
@@ -57,13 +56,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
 
     def as_nar(self) -> "ModelConfig":
         return replace(self, flavor=NAR)
@@ -103,8 +95,6 @@ def param_schema(config: ModelConfig) -> dict:
     """Map parameter path -> shape for the given configuration."""
     d, h = config.model_dim, config.hidden_dim
     shapes = {"embedding": (config.vocab_size, d)}
-    if not config.weight_tying:
-        shapes["output_proj"] = (config.vocab_size, d)
     for i in range(config.num_layers):
         shapes.update(_attn_shapes(f"encoder.layer{i}.attn", d))
         shapes.update(_ffn_shapes(f"encoder.layer{i}.ffn", d, h))
@@ -140,8 +130,7 @@ def init_params(config: ModelConfig, seed: int) -> dict:
             val = np.ones(shape)
         elif name.endswith((".b1", ".b2", ".bq", ".bk", ".bv", ".bo", ".bias")):
             val = np.zeros(shape)
-        elif (name in ("embedding", "output_proj")
-              or name.endswith(("pos_embedding", ".null"))):
+        elif name == "embedding" or name.endswith(("pos_embedding", ".null")):
             val = rng.standard_normal(shape) / math.sqrt(d)
         else:
             bound = math.sqrt(6.0 / (shape[0] + shape[1]))
@@ -263,8 +252,7 @@ class Transformer:
         return _dropout(x, self.config.dropout_rate, rng)
 
     def _project(self, hidden: Tensor) -> Tensor:
-        table = self.params["embedding" if self.config.weight_tying else "output_proj"]
-        return T.matmul(hidden, T.transpose(table))
+        return T.matmul(hidden, T.transpose(self.params["embedding"]))
 
     def encode_batch(self, src_ids: np.ndarray, rng=None) -> Tensor:
         p, cfg = self.params, self.config
@@ -407,23 +395,25 @@ class Transformer:
         return [hyps[b, : lengths[b]].tolist() for b in range(B)]
 
     def sequence_logprob(self, src, tgt) -> tuple:
-        """(sum, per-token mean) of log P(tgt_t | tgt_<t, src); no EOS term."""
+        """(sum, per-position mean) of log P(tgt + [EOS] | src): every token
+        given the ones before it, then the end of the sentence."""
         total, mean = self.sequence_logprob_batch([src], [tgt])
         return float(total[0]), float(mean[0])
 
     def sequence_logprob_batch(self, srcs, tgts, enc_out: Tensor | None = None) -> tuple:
         """Batched scoring in one teacher-forced pass: (sums, means) over
-        each row's own target positions, no EOS term.  All srcs share one
-        length; tgts may differ in length and are right-padded with PAD_ID,
-        which the causal mask hides from every scored position.
-        ``enc_out`` is the encoder output of ``srcs``, if already known."""
+        each row's L + 1 positions, [BOS] + tgt -> tgt + [EOS], the rows
+        ``batch_loss`` trains on.  All srcs share one length; tgts may
+        differ in length and are right-padded with PAD_ID, which the causal
+        mask hides from every scored position.  ``enc_out`` is the encoder
+        output of ``srcs``, if already known."""
         src_ids = np.stack([self._check_ids(s, "source") for s in srcs])
         tgts = [self._check_ids(t, "target") for t in tgts]
-        lengths = np.array([len(t) for t in tgts])
+        lengths = np.array([len(t) + 1 for t in tgts])
         n = lengths.max()
         tgt_ids = np.full((len(tgts), n), PAD_ID, dtype=np.int64)
         for row, t in zip(tgt_ids, tgts):
-            row[: len(t)] = t
+            row[: len(t) + 1] = [*t, EOS_ID]
         tgt_in = np.concatenate(
             [np.full((len(tgts), 1), BOS_ID, dtype=np.int64), tgt_ids[:, : n - 1]], axis=1
         )

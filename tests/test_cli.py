@@ -14,7 +14,7 @@ import yaml
 
 from narlab.checkpoint import MAGIC, checkpoint_digest, load_checkpoint, save_checkpoint
 from narlab.cli import main
-from narlab.config import OUTPUT_ROOT_ENV
+from narlab.config import OUTPUT_ROOT_ENV, RunConfig, write_resolved
 from narlab.corpora import read_sentences
 from narlab.lengths import LengthPolicy, candidate_lengths
 from narlab.nar import NARTransformer
@@ -189,6 +189,22 @@ class TestAnalyzeCommands:
         assert lines[0] == "# variant B bleu"
         assert [ln.split()[1] for ln in lines[1:]] == ["0", "1", "gold"]
 
+    def test_b_sweep_takes_stored_offset(self, run, tmp_path):
+        cfg, params, extra = load_checkpoint(run / "student.ckpt")
+        shifted = tmp_path / "shifted.ckpt"
+        save_checkpoint(shifted, cfg, params, {**extra, "length_offset": 2})
+
+        def sweep(*offset):
+            out = tmp_path / "sweep.txt"
+            run_ok("analyze", "b-sweep", "--student", f"s={shifted}",
+                   "--teacher", str(run / "teacher.ckpt"), "--data", str(run / "distill"),
+                   "--b-values", "0", *offset, "-o", str(out))
+            return out.read_text()
+
+        stored = sweep()
+        assert stored == sweep("--length-offset", "2")
+        assert stored != sweep("--length-offset", "0")
+
     def test_loss_gap(self, run, tmp_path):
         out = tmp_path / "gap.txt"
         run_ok("analyze", "loss-gap", "--run", f"0.0={run}",
@@ -273,13 +289,28 @@ def _bad_override(tmp):
     return ["gen-data", *opts(tmp / "r", [item])], item
 
 
+def _old_snapshot(tmp):
+    """A gen-data call on a resolved.yaml written while the model section
+    still held weight_tying."""
+    path = write_resolved(RunConfig(), tmp)
+    d = yaml.safe_load(path.read_text())
+    d["model"]["weight_tying"] = True
+    path.write_text(yaml.safe_dump(d, sort_keys=True))
+    return ["gen-data", "-c", str(path)], str(path)
+
+
+def _tiny_checkpoint(path, flavor="NAR"):
+    """An untrained model of vocabulary 12 and max_len 64, saved at ``path``."""
+    cfg = ModelConfig(vocab_size=12, num_layers=1, num_heads=2, model_dim=16,
+                      hidden_dim=32, flavor=flavor)
+    save_checkpoint(path, cfg, init_params(cfg, 0))
+    return path
+
+
 def _damaged_student(edit):
     """A translate call whose student checkpoint ``edit`` has damaged."""
     def case(tmp):
-        path = tmp / "student.ckpt"
-        cfg = ModelConfig(vocab_size=12, num_layers=1, num_heads=2, model_dim=16,
-                          hidden_dim=32, flavor="NAR")
-        save_checkpoint(path, cfg, init_params(cfg, 0))
+        path = _tiny_checkpoint(tmp / "student.ckpt")
         path.write_bytes(edit(path.read_bytes()))
         return ["translate", *opts(tmp / "r"), "--student", str(path),
                 "-i", str(tmp / "in.txt"), "-o", str(tmp / "out.txt")], str(path)
@@ -313,11 +344,32 @@ def _bad_input(text, lineno, gold=None):
     return case
 
 
+def _bad_data(command, fname, text, lineno):
+    """A distill or ``analyze b-sweep`` call over untrained models whose
+    data file ``fname`` is bad at line ``lineno``."""
+    def case(tmp):
+        data = tmp / "r" / "data"
+        data.mkdir(parents=True)
+        for name in ("train.src", "valid.src", "test.src", "test.tgt", "mono.txt"):
+            (data / name).write_text("4 5 6\n4 5 6\n")
+        (data / fname).write_text(text)
+        teacher = str(_tiny_checkpoint(tmp / "teacher.ckpt", "AR"))
+        if command == "distill":
+            argv = ["distill", *opts(tmp / "r"), "--teacher", teacher]
+        else:
+            student = _tiny_checkpoint(tmp / "student.ckpt")
+            argv = ["analyze", "b-sweep", "--student", f"s={student}", "--teacher", teacher,
+                    "--data", str(data), "-o", str(tmp / "sweep.txt")]
+        return argv, f"{data / fname}:{lineno}"
+    return case
+
+
 # each row: a malformed input that must fail with exit code 2 and one
 # error line that names it
 MALFORMED = {
     "yaml config file": _bad_config_file,
     "yaml override": _bad_override,
+    "resolved.yaml holds weight_tying": _old_snapshot,
     "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
     "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
     "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
@@ -330,12 +382,17 @@ MALFORMED = {
         lambda h: {**h, "config": {"num_layers": 1}}),
     "header carries kernel_normalize": _rewritten_header(
         lambda h: {**h, "config": {**h["config"], "kernel_normalize": True}}),
+    "header carries weight_tying": _rewritten_header(
+        lambda h: {**h, "config": {**h["config"], "weight_tying": True}}),
     "input token not an integer": _bad_input("4 5 6\n4 x 6\n", 2),
     "input line empty": _bad_input("4 5 6\n\n4 5\n", 2),
     "input id past vocabulary": _bad_input("4 5 6\n4 99 6\n", 2),
     "input holds BOS": _bad_input("4 5 6\n7 1 6\n", 2),
     "input longer than max_len": _bad_input("4 5 6\n" + "5 " * 65 + "\n", 2),
     "gold-lengths line empty": _bad_input("4 5 6\n4 5\n", 2, gold="4 5 6\n\n"),
+    "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
+    "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
+    "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
 }
 
 

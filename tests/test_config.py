@@ -1,3 +1,5 @@
+import pickle
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,11 @@ class TestRunConfig:
 
     def test_round_trip(self):
         c = default_config(["train.peak_lr=0.005", "task.n_content=16"])
-        assert RunConfig.from_dict(c.to_dict()) == c
+        assert RunConfig.from_dict(asdict(c)) == c
+
+    def test_pickles(self):
+        c = default_config(["model.model_dim=32"])
+        assert pickle.loads(pickle.dumps(c)) == c
 
     def test_model_config_derives_vocab(self):
         c = default_config(["task.n_content=20"])
@@ -63,6 +69,8 @@ class TestRunConfig:
             RunConfig.from_dict({"length": {"rank_mode": "argmax"}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"data": {"n_pairs": 0}})
+        with pytest.raises(ValueError, match="divisible"):
+            RunConfig.from_dict({"model": {"num_heads": 3}})
 
 
 class TestOverrides:

@@ -1,5 +1,7 @@
 """NAR decoder: soft-copy kernel oracles, non-causality, parallel emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ class TestNarEmit:
 class TestParamSet:
     def test_nar_extras_only_soft_copy_and_positions(self):
         nar_cfg = nar_config()
-        ar_cfg = ModelConfig(**{**nar_cfg.to_dict(), "flavor": "AR"})
+        ar_cfg = replace(nar_cfg, flavor="AR")
         ar, nar = set(param_schema(ar_cfg)), set(param_schema(nar_cfg))
         assert nar - ar == {"soft_copy.rho", "decoder.pos_embedding"}
         assert ar - nar == set()
