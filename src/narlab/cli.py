@@ -25,7 +25,8 @@ from .distill import (
     mix_monolingual,
     strip_origin,
 )
-from .evaluate import b_sweep, bucket_bleu, corpus_bleu, loss_gap_analysis
+from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
+                       corpus_bleu, loss_gap_analysis)
 from .lengths import (RANK_MODES, LengthPolicy, estimate_C, gold_length_decode,
                       length_parallel_decode_corpus)
 from .nar import NARTransformer
@@ -52,22 +53,43 @@ def _resolve(args) -> RunConfig:
     return default_config(overrides)
 
 
-def _check_lines(path, sentences, config=None) -> list:
-    """``sentences`` as read from ``path``, once no line is empty and, given
-    a model ``config``, every line holds content ids only and fits within
-    its ``max_len``; otherwise a CommandError naming the first bad line."""
+def _check_lines(path, sentences, config, references: bool = False) -> list:
+    """``sentences`` as read from ``path``, once no line is empty or longer
+    than the model ``config``'s ``max_len`` and every token is a content id
+    of its vocabulary; otherwise a CommandError naming the first bad line.
+    ``references`` skips the id check: distilled references may hold
+    reserved ids."""
     for lineno, s in enumerate(sentences, 1):
-        bad = [t for t in s if config and not N_RESERVED <= t < config.vocab_size]
+        bad = [t for t in s if not (references or N_RESERVED <= t < config.vocab_size)]
         if not s:
             reason = "empty line"
         elif bad:
             reason = f"token {bad[0]} is not a content id in [{N_RESERVED}, {config.vocab_size})"
-        elif config and len(s) > config.max_len:
+        elif len(s) > config.max_len:
             reason = f"{len(s)} tokens exceed max_len {config.max_len}"
         else:
             continue
         raise CommandError(f"{path}:{lineno}: {reason}")
     return sentences
+
+
+def _read_aligned(**paths) -> list:
+    """The sentences of each file in ``paths`` (keyed by what it holds),
+    once all have the same number of lines; otherwise a CommandError naming
+    every file and its count."""
+    texts = [read_sentences(_require(Path(p), f"{what} file")) for what, p in paths.items()]
+    if len({len(t) for t in texts}) > 1:
+        counts = ", ".join(f"{p} has {len(t)}" for p, t in zip(paths.values(), texts))
+        raise CommandError(f"line counts differ: {counts}")
+    return texts
+
+
+def _parse_option(option: str, value: str, parse, expected: str):
+    """``parse(value)``, or a CommandError naming the option and its value."""
+    try:
+        return parse(value)
+    except ValueError:
+        raise CommandError(f"{option} {value!r} is not {expected}") from None
 
 
 def _length_offset(C, extra) -> int:
@@ -238,7 +260,8 @@ def cmd_translate(args) -> int:
     student, s_extra = _load_model(_require(student_path, "run train-student first"), NAR)
     src_path = _require(Path(args.input), "input sentence file")
     srcs = _check_lines(src_path, read_sentences(src_path), student.config)
-    refs = (_check_lines(args.gold_lengths, read_sentences(Path(args.gold_lengths)))
+    refs = (_check_lines(args.gold_lengths, read_sentences(Path(args.gold_lengths)),
+                         student.config, references=True)
             if args.gold_lengths else None)
     with RunLock(out):
         write_resolved(cfg, out)
@@ -258,8 +281,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = read_sentences(_require(Path(args.hyp), "hypothesis file"))
-    refs = read_sentences(_require(Path(args.ref), "reference file"))
+    hyps, refs = _read_aligned(hypothesis=args.hyp, reference=args.ref)
     report = corpus_bleu(hyps, refs, smooth=args.smooth)
     precisions = " ".join(f"P{i + 1} {p * 100:.1f}" for i, p in
                           enumerate(report.precisions))
@@ -316,11 +338,14 @@ def cmd_analyze(args) -> int:
         teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
         data = Path(args.data)
         pairs = read_pairs(data, "test")
-        _check_lines(data / "test.tgt", [t for _, t in pairs])
-        B_values = [int(b) for b in args.b_values.split(",")]
+        B_values = _parse_option("--b-values", args.b_values,
+                                 lambda v: [int(b) for b in v.split(",")],
+                                 "a comma list of integers")
         report = {"B_values": B_values, "cells": {}, "gold": {}}
         for name, (student, extra) in students.items():
             _check_lines(data / "test.src", [s for s, _ in pairs], student.config)
+            _check_lines(data / "test.tgt", [t for _, t in pairs], student.config,
+                         references=True)
             one = b_sweep({name: student}, teacher, pairs, B_values,
                           _length_offset(args.length_offset, extra),
                           rank_mode=args.rank_mode, smooth=args.smooth)
@@ -341,17 +366,18 @@ def cmd_analyze(args) -> int:
         return 0
 
     # buckets
-    hyps = read_sentences(_require(Path(args.hyp), "hypothesis file"))
-    refs = read_sentences(_require(Path(args.ref), "reference file"))
-    srcs = read_sentences(_require(Path(args.src), "source file"))
-    edges = tuple(
-        tuple(int(x) for x in part.split("-"))
-        for part in args.edges.split(",")
-    ) if args.edges else None
-    kwargs = {"smooth": args.smooth}
-    if edges:
-        kwargs["bucket_edges"] = edges
-    table = bucket_bleu(hyps, refs, srcs, **kwargs)
+    hyps, refs, srcs = _read_aligned(hypothesis=args.hyp, reference=args.ref,
+                                     source=args.src)
+    edges = check_bucket_edges(_parse_option(
+        "--edges", args.edges,
+        lambda v: [(int(lo), int(hi)) for lo, hi in (part.split("-") for part in v.split(","))],
+        "a comma list of lo-hi intervals",
+    ) if args.edges else DESK_BUCKET_EDGES)
+    for lineno, s in enumerate(srcs, 1):
+        if not any(lo <= len(s) <= hi for lo, hi in edges):
+            raise CommandError(f"{args.src}:{lineno}: source length {len(s)} "
+                               f"not covered by any bucket")
+    table = bucket_bleu(hyps, refs, srcs, edges, smooth=args.smooth)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
@@ -408,15 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="hypothesis file to write")
     p.add_argument("--student", help="student checkpoint (default: run dir)")
     p.add_argument("--teacher", help="teacher checkpoint for reranking")
-    p.add_argument("--half-width", type=int, metavar="B",
-                   help="candidate half-width (override of length.B)")
-    p.add_argument("--rank-mode", choices=RANK_MODES,
-                   help="override of length.rank_mode")
-    dedup = p.add_mutually_exclusive_group()
-    dedup.add_argument("--dedup", action="store_true", default=None,
-                       help="collapse adjacent duplicate tokens")
-    dedup.add_argument("--no-dedup", dest="dedup", action="store_false",
-                       help="keep raw emissions")
     p.add_argument("--gold-lengths", metavar="REF_FILE",
                    help="decode at each reference's true length (no reranking)")
     p.set_defaults(fn=cmd_translate)
@@ -464,24 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fold_translate_flags(args) -> None:
-    """Surface translate's convenience flags as config overrides so the
-    resolved snapshot records what actually ran."""
-    extra = []
-    if getattr(args, "half_width", None) is not None:
-        extra.append(f"length.B={args.half_width}")
-    if getattr(args, "rank_mode", None):
-        extra.append(f"length.rank_mode={args.rank_mode}")
-    if getattr(args, "dedup", None) is not None:
-        extra.append(f"length.dedup={'true' if args.dedup else 'false'}")
-    if extra:
-        args.set = list(args.set or []) + extra
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "translate":
-        _fold_translate_flags(args)
     try:
         return args.fn(args)
     except (CommandError, ValueError, FileNotFoundError, RuntimeError) as exc:

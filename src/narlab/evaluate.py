@@ -104,12 +104,9 @@ class LengthBucketTable:
         return sum(r.count for r in self.rows)
 
 
-def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
-                smooth: bool = False) -> LengthBucketTable:
-    """Corpus BLEU per source-length interval; intervals are inclusive and
-    must not overlap, and every source length must fall in some bucket."""
-    if not len(hypotheses) == len(references) == len(sources):
-        raise ValueError("hypotheses, references and sources must align")
+def check_bucket_edges(bucket_edges) -> list:
+    """The inclusive (lo, hi) intervals sorted, once none is empty-ranged
+    and none overlap; otherwise a ValueError."""
     edges = sorted((int(lo), int(hi)) for lo, hi in bucket_edges)
     for (lo, hi) in edges:
         if lo > hi:
@@ -117,6 +114,16 @@ def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
     for (_, hi_a), (lo_b, _) in zip(edges, edges[1:]):
         if lo_b <= hi_a:
             raise ValueError(f"bucket edges overlap at {hi_a} / {lo_b}")
+    return edges
+
+
+def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
+                smooth: bool = False) -> LengthBucketTable:
+    """Corpus BLEU per source-length interval; intervals are inclusive and
+    must not overlap, and every source length must fall in some bucket."""
+    if not len(hypotheses) == len(references) == len(sources):
+        raise ValueError("hypotheses, references and sources must align")
+    edges = check_bucket_edges(bucket_edges)
 
     members: dict = {e: [] for e in edges}
     for i, src in enumerate(sources):

@@ -1,13 +1,13 @@
 """NAR student: the shared transformer with a soft-copy decoder input (each
 target position a mix of encoder outputs under row-normalized Gaussian
-weights), non-causal decoder self-attention, and learned positional
-embeddings added at the input of every decoder layer.
+weights), non-causal decoder self-attention, and one table of learned
+positional embeddings added at the input of every decoder layer.
 
 The decoder layer loop is ``Transformer._decode_hidden``; this flavor only
 supplies its two differences (no causal self-attention mask, positions
 re-added per layer).  There is no positional self-attention module; target
-positions get their position information solely from these per-layer
-embeddings, and the decoder emits all positions in one parallel pass.
+positions get their position information solely from that table, and the
+decoder emits all positions in one parallel pass.
 Candidates of several target lengths can share that pass as right-padded
 rows; a key-padding mask then keeps every position off the padding.
 """
@@ -70,10 +70,8 @@ class NARTransformer(Transformer):
             return None
         return (np.arange(n) < lengths[:, None])[:, None, None, :]
 
-    def _layer_input(self, x: Tensor, layer: int) -> Tensor:
-        table = (f"decoder.layer{layer}.pos_embedding" if self.config.per_layer_pos_tables
-                 else "decoder.pos_embedding")
-        return x + T.gather_rows(self.params[table], np.arange(x.shape[1]))
+    def _layer_input(self, x: Tensor) -> Tensor:
+        return x + T.gather_rows(self.params["decoder.pos_embedding"], np.arange(x.shape[1]))
 
     def _soft_copy_batch(self, enc_out: Tensor, target_len) -> Tensor:
         return soft_copy(enc_out, target_len, self.sigma_sq)

@@ -86,12 +86,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other), self)
 
-    def __sub__(self, other):
-        return subtract(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return subtract(_wrap(other), self)
-
     def __mul__(self, other):
         return multiply(self, _wrap(other))
 
@@ -103,9 +97,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return divide(_wrap(other), self)
-
-    def __neg__(self):
-        return multiply(self, Tensor(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
@@ -121,9 +112,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def backward(self):
         backward(self)
@@ -233,15 +221,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise(a.shape, b.shape)
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)),
-    )
-
-
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a.shape, b.shape)
     ad, bd = a.data, b.data
@@ -270,11 +249,6 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
     return _make(out, (x,), lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    return _make(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -371,22 +345,6 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).astype(np.float64, copy=False),)
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), back)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, x.ndim)
-    shape = x.shape
-    if axis is None:
-        count = x.size
-    else:
-        count = int(np.prod([shape[a] for a in axis]))
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(np.float64, copy=False) / count,)
-
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), back)
 
 
 # ---------------------------------------------------------------------

@@ -39,8 +39,6 @@ class ModelConfig:
     max_len: int = 64
     dropout_rate: float = 0.0
     flavor: str = AR
-    # NAR-only switch (ignored for AR flavor)
-    per_layer_pos_tables: bool = False
 
     def __post_init__(self):
         if self.flavor not in (AR, NAR):
@@ -110,11 +108,7 @@ def param_schema(config: ModelConfig) -> dict:
     shapes.update(_ln_shapes("decoder.ln", d))
     if config.flavor == NAR:
         shapes["soft_copy.rho"] = ()
-        if config.per_layer_pos_tables:
-            for i in range(config.num_layers):
-                shapes[f"decoder.layer{i}.pos_embedding"] = (config.max_len, d)
-        else:
-            shapes["decoder.pos_embedding"] = (config.max_len, d)
+        shapes["decoder.pos_embedding"] = (config.max_len, d)
     return shapes
 
 
@@ -271,7 +265,7 @@ class Transformer:
         # the causal mask keeps each position off the right padding after it
         return make_causal_mask(n)
 
-    def _layer_input(self, x: Tensor, layer: int) -> Tensor:
+    def _layer_input(self, x: Tensor) -> Tensor:
         return x
 
     def _layer_kv(self, prefix: str, n: Tensor, enc_out: Tensor, cache) -> tuple:
@@ -305,7 +299,7 @@ class Transformer:
         allowed = None if cache is not None else self._self_attn_mask(dec_in.shape[1], lengths)
         x = dec_in
         for i in range(cfg.num_layers):
-            x = self._layer_input(x, i)
+            x = self._layer_input(x)
             pre = f"decoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
             self_kv, cross_kv = self._layer_kv(pre, n, enc_out, cache)

@@ -178,8 +178,7 @@ def duplication_family():
 
 def test_criterion_1_gradient_integrity():
     cfg = ModelConfig(vocab_size=12, num_layers=2, num_heads=2, model_dim=16,
-                      hidden_dim=32, max_len=12,
-                      per_layer_pos_tables=True).as_nar()
+                      hidden_dim=32, max_len=12).as_nar()
     model = NARTransformer(cfg, seed=3)
     src = np.array([[4, 5, 6], [7, 8, 9]])
     tgt = np.array([[5, 4, 6, 7], [9, 8, 7, 6]])
@@ -189,7 +188,7 @@ def test_criterion_1_gradient_integrity():
 
     names = sorted(model.params)
     assert "soft_copy.rho" in names
-    assert any("layer1.pos_embedding" in n for n in names)
+    assert "decoder.pos_embedding" in names
     t0 = time.time()
     res = grad_check(loss, [model.params[n] for n in names], tol=1e-4)
     wall = time.time() - t0
@@ -197,7 +196,8 @@ def test_criterion_1_gradient_integrity():
     verdict(1, "NAR gradients match finite differences",
             res.passed and wall <= 120.0,
             f"{len(names)} tensors, max rel err {res.max_err:.2e} "
-            f"({names[worst.index]}), max abs err {res.max_abs_err:.2e}, {wall:.0f}s")
+            f"({names[worst.index]}), max abs err {res.max_abs_err:.2e}, "
+            f"{res.refined} coords refined, {wall:.0f}s")
 
 
 def test_criterion_2_teacher_convergence(desk_teacher):
@@ -357,7 +357,7 @@ def _run_tiny_pipeline(root, monkeypatch):
     assert main(["distill", *o]) == 0
     assert main(["train-student", *o, "--teacher", str(out / "teacher.ckpt")]) == 0
     assert main(["translate", *o, "-i", str(out / "distill" / "test.src"),
-                 "-o", str(out / "hyp.txt"), "--half-width", "1"]) == 0
+                 "-o", str(out / "hyp.txt"), "-O", "length.B=1"]) == 0
     return out
 
 

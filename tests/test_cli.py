@@ -7,13 +7,16 @@ invocations.
 """
 
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 import yaml
 
 from narlab.checkpoint import MAGIC, checkpoint_digest, load_checkpoint, save_checkpoint
-from narlab.cli import main
+from narlab.cli import build_parser, main
 from narlab.config import OUTPUT_ROOT_ENV, RunConfig, write_resolved
 from narlab.corpora import read_sentences
 from narlab.lengths import LengthPolicy, candidate_lengths
@@ -51,7 +54,7 @@ def run(tmp_path_factory):
     run_ok("distill", *o)
     run_ok("train-student", *o, "--teacher", str(out / "teacher.ckpt"))
     run_ok("translate", *o, "-i", str(out / "distill" / "test.src"),
-           "-o", str(out / "hyp.txt"), "--half-width", "1")
+           "-o", str(out / "hyp.txt"), "-O", "length.B=1")
     run_ok("translate", *o, "-i", str(out / "distill" / "test.src"),
            "-o", str(out / "hyp_gold.txt"),
            "--gold-lengths", str(out / "distill" / "test.tgt"))
@@ -146,7 +149,7 @@ class TestPipelineArtifacts:
     def test_half_width_zero_no_dedup_is_raw_greedy(self, run, tmp_path):
         hyp = tmp_path / "b0.txt"
         run_ok("translate", *opts(run), "-i", str(run / "distill" / "test.src"),
-               "-o", str(hyp), "--half-width", "0", "--no-dedup")
+               "-o", str(hyp), "-O", "length.B=0", "-O", "length.dedup=false")
         cfg, params, extra = load_checkpoint(run / "student.ckpt")
         student = NARTransformer(cfg, params)
         policy = LengthPolicy(C=extra["length_offset"], B=0)
@@ -158,8 +161,8 @@ class TestPipelineArtifacts:
 
     def test_translate_snapshot_records_folded_flags(self, run, tmp_path):
         run_ok("translate", *opts(run), "-i", str(run / "distill" / "test.src"),
-               "-o", str(tmp_path / "h.txt"), "--half-width", "2",
-               "--rank-mode", "mean_logprob", "--dedup")
+               "-o", str(tmp_path / "h.txt"), "-O", "length.B=2",
+               "-O", "length.rank_mode=mean_logprob", "-O", "length.dedup=true")
         d = yaml.safe_load((run / "resolved.yaml").read_text())
         assert d["length"]["B"] == 2
         assert d["length"]["rank_mode"] == "mean_logprob"
@@ -289,14 +292,16 @@ def _bad_override(tmp):
     return ["gen-data", *opts(tmp / "r", [item])], item
 
 
-def _old_snapshot(tmp):
+def _old_snapshot(key, value):
     """A gen-data call on a resolved.yaml written while the model section
-    still held weight_tying."""
-    path = write_resolved(RunConfig(), tmp)
-    d = yaml.safe_load(path.read_text())
-    d["model"]["weight_tying"] = True
-    path.write_text(yaml.safe_dump(d, sort_keys=True))
-    return ["gen-data", "-c", str(path)], str(path)
+    still held ``key``."""
+    def case(tmp):
+        path = write_resolved(RunConfig(), tmp)
+        d = yaml.safe_load(path.read_text())
+        d["model"][key] = value
+        path.write_text(yaml.safe_dump(d, sort_keys=True))
+        return ["gen-data", "-c", str(path)], str(path)
+    return case
 
 
 def _tiny_checkpoint(path, flavor="NAR"):
@@ -364,12 +369,40 @@ def _bad_data(command, fname, text, lineno):
     return case
 
 
+def _bad_b_values(tmp):
+    argv, _ = _bad_data("b-sweep", "test.src", "4 5 6\n4 5 6\n", 1)(tmp)
+    return argv + ["--b-values", "0,x"], "--b-values '0,x'"
+
+
+def _evaluate_counts_differ(tmp):
+    hyp, ref = tmp / "hyp.txt", tmp / "ref.txt"
+    hyp.write_text("4 5\n4 5\n")
+    ref.write_text("4 5\n4 5\n4 5\n")
+    return ["evaluate", "--hyp", str(hyp), "--ref", str(ref)], f"{hyp} has 2, {ref} has 3"
+
+
+def _bad_buckets(src="4 5 6\n4 5\n", edges="1-6", lineno=None):
+    """An ``analyze buckets`` call over two sentences whose source file
+    ``src`` is bad at line ``lineno``, or else whose ``--edges`` is bad."""
+    def case(tmp):
+        paths = {what: tmp / f"{what}.txt" for what in ("hyp", "ref", "src")}
+        paths["hyp"].write_text("4 5\n4 5\n")
+        paths["ref"].write_text("4 5\n4 5\n")
+        paths["src"].write_text(src)
+        argv = ["analyze", "buckets", "--edges", edges, "-o", str(tmp / "buckets.txt")]
+        for what, path in paths.items():
+            argv += [f"--{what}", str(path)]
+        return argv, f"{paths['src']}:{lineno}" if lineno else f"--edges {edges!r}"
+    return case
+
+
 # each row: a malformed input that must fail with exit code 2 and one
 # error line that names it
 MALFORMED = {
     "yaml config file": _bad_config_file,
     "yaml override": _bad_override,
-    "resolved.yaml holds weight_tying": _old_snapshot,
+    "resolved.yaml holds weight_tying": _old_snapshot("weight_tying", True),
+    "resolved.yaml holds per_layer_pos_tables": _old_snapshot("per_layer_pos_tables", False),
     "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
     "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
     "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
@@ -384,15 +417,28 @@ MALFORMED = {
         lambda h: {**h, "config": {**h["config"], "kernel_normalize": True}}),
     "header carries weight_tying": _rewritten_header(
         lambda h: {**h, "config": {**h["config"], "weight_tying": True}}),
+    "header carries per_layer_pos_tables": _rewritten_header(
+        lambda h: {**h, "config": {**h["config"], "per_layer_pos_tables": False}}),
     "input token not an integer": _bad_input("4 5 6\n4 x 6\n", 2),
     "input line empty": _bad_input("4 5 6\n\n4 5\n", 2),
     "input id past vocabulary": _bad_input("4 5 6\n4 99 6\n", 2),
     "input holds BOS": _bad_input("4 5 6\n7 1 6\n", 2),
     "input longer than max_len": _bad_input("4 5 6\n" + "5 " * 65 + "\n", 2),
     "gold-lengths line empty": _bad_input("4 5 6\n4 5\n", 2, gold="4 5 6\n\n"),
+    "gold-lengths line longer than max_len": _bad_input("4 5 6\n4 5\n", 2,
+                                                        gold="4 5 6\n" + "5 " * 65 + "\n"),
     "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
     "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
     "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
+    "b-sweep reference longer than max_len": _bad_data("b-sweep", "test.tgt",
+                                                       "4 5 6\n" + "5 " * 65 + "\n", 2),
+    "b-sweep --b-values not integers": _bad_b_values,
+    "evaluate line counts differ": _evaluate_counts_differ,
+    "buckets source outside every bucket": _bad_buckets(src="4 5 6\n" + "5 " * 7 + "\n",
+                                                        lineno=2),
+    "buckets source line empty": _bad_buckets(src="4 5 6\n\n", lineno=2),
+    "buckets --edges interval lacks hi": _bad_buckets(edges="1-4,5"),
+    "buckets --edges bound not an integer": _bad_buckets(edges="1-x"),
 }
 
 
@@ -420,3 +466,14 @@ def test_evaluate_stdout_line(run, capsys):
     out = capsys.readouterr().out
     assert out.startswith("BLEU ")
     assert "BP" in out and "P4" in out
+
+
+def test_readme_commands_parse():
+    # every `narlab ...` line of README's code blocks, continuations joined
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("narlab ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        build_parser().parse_args(argv)

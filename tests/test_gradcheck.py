@@ -72,3 +72,24 @@ def test_unused_input_counts_as_zero_grad():
     b = Tensor(np.array([2.0]))
     res = grad_check(lambda x, y: (x * x).sum(), [a, b])
     assert res.passed
+
+
+def test_relu_kink_inside_step_is_refined():
+    # 3e-6 from the kink, within h = 1e-5: the h-step difference reads 0.65
+    # where relu's slope is 1; the h / 100 step recovers it
+    x = Tensor(np.array([3e-6, 0.5, -0.5]))
+    res = grad_check(lambda t: T.relu(t).sum(), [x])
+    assert res.passed
+    assert res.refined == 1
+
+
+def test_refinement_keeps_wrong_gradient_failing():
+    def doubled_relu(x):
+        keep = x.data > 0.0
+        return T._make(np.where(keep, x.data, 0.0), (x,), lambda g: (2.0 * g * keep,))
+
+    # the refined difference at the kink point still disagrees with 2
+    x = Tensor(np.array([3e-6]))
+    res = grad_check(lambda t: doubled_relu(t).sum(), [x])
+    assert not res.passed and res.refined == 1
+    assert res.entries[0].numeric == pytest.approx(1.0, rel=1e-6)

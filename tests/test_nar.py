@@ -12,11 +12,9 @@ from narlab.tensor import Tensor
 from narlab.transformer import ModelConfig, Transformer, param_schema
 
 
-def nar_config(**kw):
-    base = dict(vocab_size=12, num_layers=2, num_heads=2, model_dim=16,
-                hidden_dim=32, max_len=16, flavor="NAR")
-    base.update(kw)
-    return ModelConfig(**base)
+def nar_config():
+    return ModelConfig(vocab_size=12, num_layers=2, num_heads=2, model_dim=16,
+                       hidden_dim=32, max_len=16, flavor="NAR")
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +132,6 @@ class TestParamSet:
         ar, nar = set(param_schema(ar_cfg)), set(param_schema(nar_cfg))
         assert nar - ar == {"soft_copy.rho", "decoder.pos_embedding"}
         assert ar - nar == set()
-
-    def test_per_layer_tables_switch(self):
-        cfg = nar_config(per_layer_pos_tables=True)
-        names = set(param_schema(cfg))
-        assert "decoder.pos_embedding" not in names
-        assert {f"decoder.layer{i}.pos_embedding" for i in range(2)} <= names
 
     def test_no_positional_self_attention_module(self, model):
         assert not any("pos_attn" in k or "positional_attention" in k

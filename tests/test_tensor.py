@@ -183,9 +183,6 @@ class TestBackwardFiniteDiff:
     def test_add_suffix_broadcast(self):
         self.check(lambda a, b: ((a + b) * (a + b)).sum(), [(2, 3, 4), (4,)], seed=11)
 
-    def test_subtract(self):
-        self.check(lambda a, b: ((a - b) * (a - b)).sum(), [(3, 4), (3, 4)], seed=12)
-
     def test_multiply(self):
         self.check(lambda a, b: (a * b).sum(), [(3, 4), (3, 4)], seed=13)
 
@@ -197,9 +194,6 @@ class TestBackwardFiniteDiff:
 
     def test_exp(self):
         self.check(lambda x: T.exp(x).sum(), [(3, 4)], seed=16)
-
-    def test_log(self):
-        self.check(lambda x: T.log(x).sum(), [(3, 4)], seed=17, scale=0.3, offset=2.0)
 
     def test_relu(self):
         # keep points away from the kink
@@ -241,12 +235,6 @@ class TestBackwardFiniteDiff:
 
     def test_sum_axis(self):
         self.check(lambda x: (x.sum(axis=1) * x.sum(axis=1)).sum(), [(3, 4)], seed=28)
-
-    def test_mean(self):
-        self.check(lambda x: (x.mean(axis=0) * x.mean(axis=0)).sum(), [(3, 4)], seed=29)
-
-    def test_mean_all(self):
-        self.check(lambda x: x.mean() * x.mean(), [(3, 4)], seed=30)
 
     def test_masked_fill(self):
         allowed = np.random.default_rng(31).random((3, 4)) > 0.4
