@@ -73,6 +73,16 @@ def _check_lines(path, sentences, config, references: bool = False) -> list:
     return sentences
 
 
+def _read_pairs(directory: Path, split: str, config, references: bool = False) -> list:
+    """The pairs of ``split``.src / ``split``.tgt under ``directory``, once
+    ``_check_lines`` passes their sources and targets (the targets as
+    references if ``references``)."""
+    pairs = read_pairs(directory, split)
+    _check_lines(directory / f"{split}.src", [s for s, _ in pairs], config)
+    _check_lines(directory / f"{split}.tgt", [t for _, t in pairs], config, references)
+    return pairs
+
+
 def _read_aligned(**paths) -> list:
     """The sentences of each file in ``paths`` (keyed by what it holds),
     once all have the same number of lines; otherwise a CommandError naming
@@ -81,6 +91,8 @@ def _read_aligned(**paths) -> list:
     if len({len(t) for t in texts}) > 1:
         counts = ", ".join(f"{p} has {len(t)}" for p, t in zip(paths.values(), texts))
         raise CommandError(f"line counts differ: {counts}")
+    if not texts[0]:
+        raise CommandError(f"no sentences in {', '.join(map(str, paths.values()))}")
     return texts
 
 
@@ -90,6 +102,13 @@ def _parse_option(option: str, value: str, parse, expected: str):
         return parse(value)
     except ValueError:
         raise CommandError(f"{option} {value!r} is not {expected}") from None
+
+
+def _half_widths(value: str) -> list:
+    B_values = [int(b) for b in value.split(",")]
+    if min(B_values) < 0:
+        raise ValueError("negative half-width")
+    return B_values
 
 
 def _length_offset(C, extra) -> int:
@@ -140,11 +159,11 @@ def cmd_train_teacher(args) -> int:
     out = run_dir(cfg)
     data_dir = out / "data"
     _require(data_dir / "train.src", "run gen-data first")
+    model = Transformer(cfg.model_config(AR), seed=cfg.train.seed)
+    train_pairs, valid_pairs = (_read_pairs(data_dir, split, model.config)
+                                for split in ("train", "valid"))
     with RunLock(out):
         write_resolved(cfg, out)
-        train_pairs = read_pairs(data_dir, "train")
-        valid_pairs = read_pairs(data_dir, "valid")
-        model = Transformer(cfg.model_config(AR), seed=cfg.train.seed)
         records = train(model, train_pairs, cfg.train, valid_pairs,
                         curves_path=out / "teacher_curves.jsonl", log=print)
         save_checkpoint(out / "teacher.ckpt", model.config, model.params, {
@@ -210,22 +229,23 @@ def cmd_train_student(args) -> int:
     teacher_path = _require(Path(args.teacher), "run train-teacher first")
     dist_dir = out / "distill"
     _require(dist_dir / "train.src", "run distill first")
+    student = NARTransformer(cfg.model_config(NAR), seed=cfg.train.seed)
+    splits = {split: _read_pairs(dist_dir, split, student.config, references=True)
+              for split in ("train", "mono", "valid", "test")}
     with RunLock(out):
         write_resolved(cfg, out)
         teacher, _ = _load_model(teacher_path, AR)
-        par = [(s, t, PARALLEL) for s, t in read_pairs(dist_dir, "train")]
-        mono = [(s, t, MONOLINGUAL) for s, t in read_pairs(dist_dir, "mono")]
+        par = [(s, t, PARALLEL) for s, t in splits["train"]]
+        mono = [(s, t, MONOLINGUAL) for s, t in splits["mono"]]
         mixed = strip_origin(mix_monolingual(par, mono, cfg.distill.mono_fraction,
                                              cfg.distill.mix_seed))
-        valid_pairs = read_pairs(dist_dir, "valid")
-        student = NARTransformer(cfg.model_config(NAR), seed=cfg.train.seed)
         if student.config.vocab_size != teacher.config.vocab_size:
             raise CommandError(
                 f"teacher vocab {teacher.config.vocab_size} does not match "
                 f"configured task vocab {student.config.vocab_size}"
             )
         init_student_from_teacher(teacher.params, student.params)
-        records = train(student, mixed, cfg.train, valid_pairs,
+        records = train(student, mixed, cfg.train, splits["valid"],
                         curves_path=out / "student_curves.jsonl", log=print)
         C_hat = estimate_C(mixed)
         save_checkpoint(out / "student.ckpt", student.config, student.params, {
@@ -237,11 +257,10 @@ def cmd_train_student(args) -> int:
             "epochs": len(records),
             "final_valid_loss": records[-1].valid_loss,
         })
-        test_pairs = read_pairs(dist_dir, "test")
         eval_report = {
             "train_loss": records[-1].train_loss,
             "valid_loss": records[-1].valid_loss,
-            "test_loss": dataset_loss(student, test_pairs,
+            "test_loss": dataset_loss(student, splits["test"],
                                       cfg.train.label_smoothing),
             "mono_fraction": cfg.distill.mono_fraction,
             "epochs": len(records),
@@ -337,15 +356,11 @@ def cmd_analyze(args) -> int:
                     for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
         teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
         data = Path(args.data)
-        pairs = read_pairs(data, "test")
-        B_values = _parse_option("--b-values", args.b_values,
-                                 lambda v: [int(b) for b in v.split(",")],
-                                 "a comma list of integers")
+        B_values = _parse_option("--b-values", args.b_values, _half_widths,
+                                 "a comma list of nonnegative integers")
         report = {"B_values": B_values, "cells": {}, "gold": {}}
         for name, (student, extra) in students.items():
-            _check_lines(data / "test.src", [s for s, _ in pairs], student.config)
-            _check_lines(data / "test.tgt", [t for _, t in pairs], student.config,
-                         references=True)
+            pairs = _read_pairs(data, "test", student.config, references=True)
             one = b_sweep({name: student}, teacher, pairs, B_values,
                           _length_offset(args.length_offset, extra),
                           rank_mode=args.rank_mode, smooth=args.smooth)

@@ -70,7 +70,7 @@ class DecodeSection:
 
     def __post_init__(self):
         if self.B < 0:
-            raise ValueError("half-width B must be nonnegative")
+            raise ValueError(f"length.B (the half-width) must be nonnegative, got {self.B}")
         if self.rank_mode not in RANK_MODES:
             raise ValueError(
                 f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}"

@@ -10,7 +10,7 @@ MONOLINGUAL = "monolingual"
 
 
 def distill_corpus(teacher, sources, origin: str) -> tuple:
-    """Decode every source with the teacher (greedy, dropout off).
+    """Decode every source with the teacher (greedy).
 
     Returns (pairs, n_dropped) where pairs are (src, teacher_target, origin)
     triples in input order and n_dropped counts empty decodes.

@@ -74,38 +74,9 @@ def _usable_lengths(student, teacher, T: int, policy: LengthPolicy) -> list:
     return usable
 
 
-def _check_rerank_args(student, teacher, rank_mode: str) -> None:
-    if rank_mode not in RANK_MODES:
-        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
-    if student.config.vocab_size != teacher.config.vocab_size:
-        raise ValueError(
-            f"student/teacher vocab mismatch: {student.config.vocab_size} "
-            f"vs {teacher.config.vocab_size}"
-        )
-
-
 def _rank_key(cand: ScoredCandidate, center: int):
     # maximize score; break ties toward the predicted length, then shorter
     return (cand.score, -abs(cand.length - center), -cand.length)
-
-
-def score_candidates(student, teacher, src, policy: LengthPolicy,
-                     rank_mode: str = "sum_logprob") -> list:
-    """Emit and teacher-score every candidate length for one sentence, one
-    unpadded pass per length: the reference the stacked decoder is held to."""
-    _check_rerank_args(student, teacher, rank_mode)
-    out = []
-    for L in _usable_lengths(student, teacher, len(src), policy):
-        tokens = student.nar_greedy_emit(src, L)
-        total, mean = teacher.sequence_logprob(src, tokens)
-        out.append(ScoredCandidate(L, tokens, total if rank_mode == "sum_logprob" else mean))
-    return out
-
-
-def length_parallel_decode(student, teacher, src, policy: LengthPolicy,
-                           rank_mode: str = "sum_logprob") -> list:
-    """The winning candidate's token sequence."""
-    return length_parallel_decode_corpus(student, teacher, [src], policy, rank_mode)[0]
 
 
 def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
@@ -113,7 +84,13 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
     """Length-parallel decoding with teacher reranking, per sentence.
     Groups sentences by source length and scores each group's candidates
     in one stacked pass per model (``_score_group``)."""
-    _check_rerank_args(student, teacher, rank_mode)
+    if rank_mode not in RANK_MODES:
+        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
+    if student.config.vocab_size != teacher.config.vocab_size:
+        raise ValueError(
+            f"student/teacher vocab mismatch: {student.config.vocab_size} "
+            f"vs {teacher.config.vocab_size}"
+        )
 
     def rerank(T_src, idxs):
         lens = _usable_lengths(student, teacher, T_src, policy)

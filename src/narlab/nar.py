@@ -76,7 +76,7 @@ class NARTransformer(Transformer):
     def _soft_copy_batch(self, enc_out: Tensor, target_len) -> Tensor:
         return soft_copy(enc_out, target_len, self.sigma_sq)
 
-    def nar_logits_batch(self, src_ids: np.ndarray, target_len, rng=None,
+    def nar_logits_batch(self, src_ids: np.ndarray, target_len,
                          enc_out: Tensor | None = None,
                          dec_in: Tensor | None = None) -> Tensor:
         """Parallel logits (B, target_len, V).  ``target_len`` may instead
@@ -92,10 +92,10 @@ class NARTransformer(Transformer):
                 f"target_len {target_len} outside [1, {self.config.max_len}]"
             )
         if enc_out is None:
-            enc_out = self.encode_batch(src_ids, rng)
+            enc_out = self.encode_batch(src_ids)
         if dec_in is None:
             dec_in = self._soft_copy_batch(enc_out, target_len)
-        return self._project(self._decode_hidden(dec_in, enc_out, rng, lengths=lengths))
+        return self._project(self._decode_hidden(dec_in, enc_out, lengths=lengths))
 
     # -- public single-sentence API ------------------------------------
     def nar_forward(self, src, target_len: int) -> np.ndarray:
@@ -105,9 +105,6 @@ class NARTransformer(Transformer):
             logits = self.nar_logits_batch(ids[None, :], target_len)
             probs = T.softmax(logits)
         return probs.data[0]
-
-    def nar_greedy_emit(self, src, target_len: int) -> list:
-        return self.nar_greedy_emit_batch([src], target_len)[0]
 
     def nar_greedy_emit_batch(self, srcs, target_len, enc_out: Tensor | None = None) -> list:
         """Position-wise argmax emissions in one parallel pass.  All sources

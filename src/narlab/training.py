@@ -134,24 +134,23 @@ def make_batches(pairs, batch_tokens: int, rng=None) -> list:
     return batches
 
 
-def batch_loss(model, src_arr: np.ndarray, tgt_arr: np.ndarray, eps: float,
-               rng=None) -> tuple:
+def batch_loss(model, src_arr: np.ndarray, tgt_arr: np.ndarray, eps: float) -> tuple:
     """(scalar loss Tensor, position count) for one rectangular batch;
     dispatches on model flavor."""
     if model.config.flavor == NAR:
-        logits = model.nar_logits_batch(src_arr, tgt_arr.shape[1], rng)
+        logits = model.nar_logits_batch(src_arr, tgt_arr.shape[1])
         targets = tgt_arr
     else:
         B = src_arr.shape[0]
         bos = np.full((B, 1), BOS_ID, dtype=np.int64)
         eos = np.full((B, 1), EOS_ID, dtype=np.int64)
-        logits = model.ar_logits_batch(src_arr, np.concatenate([bos, tgt_arr], axis=1), rng)
+        logits = model.ar_logits_batch(src_arr, np.concatenate([bos, tgt_arr], axis=1))
         targets = np.concatenate([tgt_arr, eos], axis=1)
     return smoothed_ce_from_logits(logits, targets, eps), targets.size
 
 
 def dataset_loss(model, pairs, eps: float, batch_tokens: int = 4096) -> float:
-    """Token-weighted mean smoothed CE over a dataset (no dropout, no grads)."""
+    """Token-weighted mean smoothed CE over a dataset (no grads)."""
     total, count = 0.0, 0
     with T.no_grad():
         for src_arr, tgt_arr in make_batches(pairs, batch_tokens):
@@ -216,7 +215,6 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
         raise ValueError("empty training corpus")
     eps = config.label_smoothing
     model_dim = model.config.model_dim
-    dropout = model.config.dropout_rate
     opt = Adam(model.params)
     ring: deque = deque(maxlen=config.average_last_k)
     records: list = []
@@ -231,9 +229,8 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
         lr = 0.0
         for src_arr, tgt_arr in make_batches(corpus, config.batch_tokens, rng):
             step += 1
-            drop_rng = rng_for(config.seed, "dropout", step) if dropout > 0 else None
             opt.zero_grad()
-            loss, n = batch_loss(model, src_arr, tgt_arr, eps, drop_rng)
+            loss, n = batch_loss(model, src_arr, tgt_arr, eps)
             if not math.isfinite(loss.item()):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at step {step} (epoch {epoch})"

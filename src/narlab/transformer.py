@@ -37,7 +37,6 @@ class ModelConfig:
     model_dim: int = 64
     hidden_dim: int = 256
     max_len: int = 64
-    dropout_rate: float = 0.0
     flavor: str = AR
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ModelConfig:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     def as_nar(self) -> "ModelConfig":
         return replace(self, flavor=NAR)
@@ -151,13 +148,6 @@ def make_causal_mask(n: int) -> np.ndarray:
 # sublayers
 # ---------------------------------------------------------------------
 
-def _dropout(x: Tensor, rate: float, rng) -> Tensor:
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
-
-
 def _kv(params: dict, prefix: str, kv_in: Tensor, num_heads: int) -> tuple:
     """Keys and values of ``kv_in`` (B, Lk, d), projected and split into
     heads: two (B, H, Lk, d / H) tensors."""
@@ -233,7 +223,7 @@ class Transformer:
             )
         return seq
 
-    def _embed(self, ids: np.ndarray, rng=None, start: int = 0) -> Tensor:
+    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
         # (B, L) -> (B, L, d), scaled embedding plus the sinusoids of
         # positions start .. start + L - 1
         end = start + ids.shape[1]
@@ -242,23 +232,20 @@ class Transformer:
         x = T.gather_rows(self.params["embedding"], ids) * Tensor(
             math.sqrt(self.config.model_dim)
         )
-        x = x + Tensor(self._pos[start:end])
-        return _dropout(x, self.config.dropout_rate, rng)
+        return x + Tensor(self._pos[start:end])
 
     def _project(self, hidden: Tensor) -> Tensor:
         return T.matmul(hidden, T.transpose(self.params["embedding"]))
 
-    def encode_batch(self, src_ids: np.ndarray, rng=None) -> Tensor:
+    def encode_batch(self, src_ids: np.ndarray) -> Tensor:
         p, cfg = self.params, self.config
-        x = self._embed(src_ids, rng)
+        x = self._embed(src_ids)
         for i in range(cfg.num_layers):
             pre = f"encoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
-            a = _attention(p, f"{pre}.attn", n, _kv(p, f"{pre}.attn", n, cfg.num_heads),
-                           cfg.num_heads)
-            x = x + _dropout(a, cfg.dropout_rate, rng)
-            f = _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln2", x))
-            x = x + _dropout(f, cfg.dropout_rate, rng)
+            x = x + _attention(p, f"{pre}.attn", n, _kv(p, f"{pre}.attn", n, cfg.num_heads),
+                               cfg.num_heads)
+            x = x + _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln2", x))
         return _ln(p, "encoder.ln", x)
 
     def _self_attn_mask(self, n: int, lengths: np.ndarray | None = None) -> np.ndarray | None:
@@ -286,8 +273,7 @@ class Transformer:
         cache[sa] = self_kv
         return self_kv, cache[ca]
 
-    def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, rng=None,
-                       cache: dict | None = None,
+    def _decode_hidden(self, dec_in: Tensor, enc_out: Tensor, cache: dict | None = None,
                        lengths: np.ndarray | None = None) -> Tensor:
         # dec_in (B, Lt, d) already embedded; the flavor decides the
         # self-attention mask and what each layer adds to its input.
@@ -303,49 +289,18 @@ class Transformer:
             pre = f"decoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
             self_kv, cross_kv = self._layer_kv(pre, n, enc_out, cache)
-            a = _attention(p, f"{pre}.self_attn", n, self_kv, cfg.num_heads, allowed)
-            x = x + _dropout(a, cfg.dropout_rate, rng)
-            c = _attention(p, f"{pre}.cross_attn", _ln(p, f"{pre}.ln2", x), cross_kv,
-                           cfg.num_heads)
-            x = x + _dropout(c, cfg.dropout_rate, rng)
-            f = _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln3", x))
-            x = x + _dropout(f, cfg.dropout_rate, rng)
+            x = x + _attention(p, f"{pre}.self_attn", n, self_kv, cfg.num_heads, allowed)
+            x = x + _attention(p, f"{pre}.cross_attn", _ln(p, f"{pre}.ln2", x), cross_kv,
+                               cfg.num_heads)
+            x = x + _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln3", x))
         return _ln(p, "decoder.ln", x)
 
     def ar_logits_batch(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray,
-                        rng=None, enc_out: Tensor | None = None) -> Tensor:
+                        enc_out: Tensor | None = None) -> Tensor:
         """Teacher-forced logits (B, Lt, V); row t conditions on tgt_in[:, :t+1]."""
         if enc_out is None:
-            enc_out = self.encode_batch(src_ids, rng)
-        dec_in = self._embed(tgt_in_ids, rng)
-        return self._project(self._decode_hidden(dec_in, enc_out, rng))
-
-    # -- public single-sentence API ------------------------------------
-    def encode(self, src) -> Tensor:
-        """Encoder output for one sentence: (T, model_dim)."""
-        ids = self._check_ids(src, "source")
-        with T.no_grad():
-            out = self.encode_batch(ids[None, :])
-        return Tensor(out.data[0])
-
-    def ar_decode_step(self, enc_out: Tensor, prefix) -> np.ndarray:
-        """Next-token probability vector given a BOS-initial decoded prefix."""
-        ids = self._check_ids(prefix, "prefix")
-        if ids[0] != BOS_ID:
-            raise ValueError(f"prefix must start with BOS id {BOS_ID}, got {ids[0]}")
-        if len(ids) > self.config.max_len:
-            raise ValueError(
-                f"prefix length {len(ids)} exceeds max_len {self.config.max_len}"
-            )
-        enc = enc_out if isinstance(enc_out, Tensor) else Tensor(enc_out)
-        with T.no_grad():
-            dec_in = self._embed(ids[None, :])
-            h = self._decode_hidden(dec_in, Tensor(enc.data[None, :, :]))
-            probs = T.softmax(self._project(h))
-        return probs.data[0, -1]
-
-    def greedy_decode(self, src) -> list:
-        return self.greedy_decode_batch([src])[0]
+            enc_out = self.encode_batch(src_ids)
+        return self._project(self._decode_hidden(self._embed(tgt_in_ids), enc_out))
 
     def greedy_decode_batch(self, srcs) -> list:
         """Greedy decode many sentences; groups by source length internally.

@@ -29,8 +29,7 @@ from narlab.lengths import (
     candidate_lengths,
     estimate_C,
     gold_length_decode,
-    length_parallel_decode,
-    score_candidates,
+    length_parallel_decode_corpus,
 )
 from narlab.nar import NARTransformer
 from narlab.tasks import TaskSpec, generate_corpus, generate_monolingual
@@ -45,6 +44,7 @@ from narlab.training import (
 )
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
+from oracles import rerank_pick
 
 REPORT_LINES = []
 
@@ -290,7 +290,7 @@ def test_criterion_7_oracle_equivalences():
                         if T + C - B <= L <= T + C + B] or [1]
                 cand_ok &= got == want
 
-    # length-parallel choice == argmax over independently scored candidates
+    # length-parallel choice == argmax over candidates scored one by one
     cfg = ModelConfig(vocab_size=16, num_layers=1, num_heads=2, model_dim=16,
                       hidden_dim=32, max_len=32)
     student = NARTransformer(cfg.as_nar(), seed=0)
@@ -299,10 +299,8 @@ def test_criterion_7_oracle_equivalences():
     pick_ok = True
     for _ in range(200):
         src = [int(x) for x in rng.integers(4, 16, size=int(rng.integers(1, 9)))]
-        cands = score_candidates(student, teacher, src, policy)
-        best = max(cands, key=lambda c: (c.score, -abs(c.length - len(src)),
-                                         -c.length))
-        pick_ok &= length_parallel_decode(student, teacher, src, policy) == best.tokens
+        pick = length_parallel_decode_corpus(student, teacher, [src], policy)[0]
+        pick_ok &= pick == rerank_pick(student, teacher, src, policy)
 
     # BLEU worked examples
     b1 = corpus_bleu([[1, 2, 3, 4]], [[1, 2, 3, 4]])

@@ -63,8 +63,8 @@ def test_load_model_reconstructs_flavor(tmp_path):
     save_checkpoint(tmp_path / "nar.ckpt", nar.config, nar.params)
     m = load_model(tmp_path / "nar.ckpt")
     assert type(m) is NARTransformer
-    out_a = m.nar_greedy_emit([4, 5, 6], 4)
-    out_b = nar.nar_greedy_emit([4, 5, 6], 4)
+    out_a = m.nar_greedy_emit_batch([[4, 5, 6]], 4)
+    out_b = nar.nar_greedy_emit_batch([[4, 5, 6]], 4)
     assert out_a == out_b
 
 

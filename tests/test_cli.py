@@ -156,7 +156,7 @@ class TestPipelineArtifacts:
         want = []
         for s in read_sentences(run / "distill" / "test.src"):
             (L,) = candidate_lengths(len(s), policy)
-            want.append(student.nar_greedy_emit(s, L))
+            want.append(student.nar_greedy_emit_batch([s], L)[0])
         assert read_sentences(hyp) == want
 
     def test_translate_snapshot_records_folded_flags(self, run, tmp_path):
@@ -350,28 +350,47 @@ def _bad_input(text, lineno, gold=None):
 
 
 def _bad_data(command, fname, text, lineno):
-    """A distill or ``analyze b-sweep`` call over untrained models whose
-    data file ``fname`` is bad at line ``lineno``."""
+    """A train-teacher, distill, train-student or ``analyze b-sweep`` call
+    over untrained models and two-line corpora, whose corpus file ``fname``
+    (under distill/ for train-student, data/ otherwise) is bad at line
+    ``lineno``."""
     def case(tmp):
-        data = tmp / "r" / "data"
+        data = tmp / "r" / ("distill" if command == "train-student" else "data")
         data.mkdir(parents=True)
-        for name in ("train.src", "valid.src", "test.src", "test.tgt", "mono.txt"):
+        for name in ("mono.txt", *(f"{split}.{ext}" for split in ("train", "valid", "test", "mono")
+                                   for ext in ("src", "tgt"))):
             (data / name).write_text("4 5 6\n4 5 6\n")
         (data / fname).write_text(text)
         teacher = str(_tiny_checkpoint(tmp / "teacher.ckpt", "AR"))
-        if command == "distill":
-            argv = ["distill", *opts(tmp / "r"), "--teacher", teacher]
-        else:
+        if command == "b-sweep":
             student = _tiny_checkpoint(tmp / "student.ckpt")
             argv = ["analyze", "b-sweep", "--student", f"s={student}", "--teacher", teacher,
                     "--data", str(data), "-o", str(tmp / "sweep.txt")]
+        else:
+            argv = [command, *opts(tmp / "r")]
+            if command != "train-teacher":
+                argv += ["--teacher", teacher]
         return argv, f"{data / fname}:{lineno}"
     return case
 
 
-def _bad_b_values(tmp):
-    argv, _ = _bad_data("b-sweep", "test.src", "4 5 6\n4 5 6\n", 1)(tmp)
-    return argv + ["--b-values", "0,x"], "--b-values '0,x'"
+def _bad_b_values(value):
+    def case(tmp):
+        argv, _ = _bad_data("b-sweep", "test.src", "4 5 6\n4 5 6\n", 1)(tmp)
+        return argv + ["--b-values", value], f"--b-values {value!r}"
+    return case
+
+
+def _negative_half_width(tmp):
+    return ["translate", *opts(tmp / "r", ["length.B=-1"]), "-i", "in.txt", "-o", "out.txt"], \
+        "length.B"
+
+
+def _evaluate_empty_files(tmp):
+    hyp, ref = tmp / "hyp.txt", tmp / "ref.txt"
+    hyp.write_text("")
+    ref.write_text("")
+    return ["evaluate", "--hyp", str(hyp), "--ref", str(ref)], f"{hyp}, {ref}"
 
 
 def _evaluate_counts_differ(tmp):
@@ -403,6 +422,7 @@ MALFORMED = {
     "yaml override": _bad_override,
     "resolved.yaml holds weight_tying": _old_snapshot("weight_tying", True),
     "resolved.yaml holds per_layer_pos_tables": _old_snapshot("per_layer_pos_tables", False),
+    "resolved.yaml holds dropout_rate": _old_snapshot("dropout_rate", 0.0),
     "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
     "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
     "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
@@ -419,6 +439,8 @@ MALFORMED = {
         lambda h: {**h, "config": {**h["config"], "weight_tying": True}}),
     "header carries per_layer_pos_tables": _rewritten_header(
         lambda h: {**h, "config": {**h["config"], "per_layer_pos_tables": False}}),
+    "header carries dropout_rate": _rewritten_header(
+        lambda h: {**h, "config": {**h["config"], "dropout_rate": 0.0}}),
     "input token not an integer": _bad_input("4 5 6\n4 x 6\n", 2),
     "input line empty": _bad_input("4 5 6\n\n4 5\n", 2),
     "input id past vocabulary": _bad_input("4 5 6\n4 99 6\n", 2),
@@ -427,13 +449,22 @@ MALFORMED = {
     "gold-lengths line empty": _bad_input("4 5 6\n4 5\n", 2, gold="4 5 6\n\n"),
     "gold-lengths line longer than max_len": _bad_input("4 5 6\n4 5\n", 2,
                                                         gold="4 5 6\n" + "5 " * 65 + "\n"),
+    "translate -O length.B negative": _negative_half_width,
+    "train-teacher source id past vocabulary": _bad_data("train-teacher", "train.src",
+                                                         "4 5 6\n4 99 6\n", 2),
+    "train-teacher target line empty": _bad_data("train-teacher", "train.tgt", "4 5 6\n\n", 2),
     "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
+    "train-student source id past vocabulary": _bad_data("train-student", "mono.src",
+                                                         "4 5 6\n4 99 6\n", 2),
+    "train-student target line empty": _bad_data("train-student", "train.tgt", "4 5 6\n\n", 2),
     "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
     "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
     "b-sweep reference longer than max_len": _bad_data("b-sweep", "test.tgt",
                                                        "4 5 6\n" + "5 " * 65 + "\n", 2),
-    "b-sweep --b-values not integers": _bad_b_values,
+    "b-sweep --b-values not integers": _bad_b_values("0,x"),
+    "b-sweep --b-values negative": _bad_b_values("0,-1"),
     "evaluate line counts differ": _evaluate_counts_differ,
+    "evaluate files empty": _evaluate_empty_files,
     "buckets source outside every bucket": _bad_buckets(src="4 5 6\n" + "5 " * 7 + "\n",
                                                         lineno=2),
     "buckets source line empty": _bad_buckets(src="4 5 6\n\n", lineno=2),

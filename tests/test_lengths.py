@@ -10,14 +10,13 @@ from narlab.lengths import (
     candidate_lengths,
     estimate_C,
     gold_length_decode,
-    length_parallel_decode,
     length_parallel_decode_corpus,
-    score_candidates,
 )
 from narlab.nar import NARTransformer
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
 from narlab.vocab import BOS_ID, PAD_ID
+from oracles import rerank_pick
 
 
 def small_cfg(**kw):
@@ -91,38 +90,15 @@ class TestCandidateLengths:
 
 
 class TestScoring:
-    def test_one_candidate_per_length(self, student, teacher):
-        src = [4, 5, 6, 7]
-        cands = score_candidates(student, teacher, src, LengthPolicy(C=0, B=2))
-        assert [c.length for c in cands] == [2, 3, 4, 5, 6]
-        for c in cands:
-            assert len(c.tokens) == c.length
-            assert c.score <= 0.0
-
-    def test_tokens_are_student_emissions(self, student, teacher):
-        src = [4, 5, 6]
-        cands = score_candidates(student, teacher, src, LengthPolicy(C=0, B=1))
-        for c in cands:
-            assert c.tokens == student.nar_greedy_emit(src, c.length)
-
-    def test_scores_are_teacher_logprobs(self, student, teacher):
-        src = [4, 5, 6]
-        for mode, pick in (("sum_logprob", 0), ("mean_logprob", 1)):
-            cands = score_candidates(student, teacher, src, LengthPolicy(C=0, B=1),
-                                     rank_mode=mode)
-            for c in cands:
-                assert c.score == pytest.approx(
-                    teacher.sequence_logprob(src, c.tokens)[pick], abs=1e-12
-                )
-
     def test_rank_mode_validated(self, student, teacher):
-        with pytest.raises(ValueError):
-            score_candidates(student, teacher, [4], LengthPolicy(), "best_logprob")
+        with pytest.raises(ValueError, match="rank_mode"):
+            length_parallel_decode_corpus(student, teacher, [[4]], LengthPolicy(),
+                                          "best_logprob")
 
     def test_vocab_mismatch_rejected(self, student):
         other = Transformer(small_cfg(vocab_size=12), seed=0)
-        with pytest.raises(ValueError):
-            score_candidates(student, other, [4], LengthPolicy())
+        with pytest.raises(ValueError, match="vocab"):
+            length_parallel_decode_corpus(student, other, [[4]], LengthPolicy())
 
 
 class TestDecode:
@@ -131,12 +107,8 @@ class TestDecode:
         policy = LengthPolicy(C=0, B=2)
         for _ in range(200):
             src = [int(x) for x in rng.integers(4, 16, size=int(rng.integers(1, 9)))]
-            cands = score_candidates(student, teacher, src, policy)
-            best = max(
-                cands,
-                key=lambda c: (c.score, -abs(c.length - len(src)), -c.length),
-            )
-            assert length_parallel_decode(student, teacher, src, policy) == best.tokens
+            out = length_parallel_decode_corpus(student, teacher, [src], policy)[0]
+            assert out == rerank_pick(student, teacher, src, policy)
 
     def test_tie_breaks_prefer_predicted_then_shorter(self):
         center = 5
@@ -150,8 +122,8 @@ class TestDecode:
 
     def test_b_zero_returns_center_emission(self, student, teacher):
         src = [4, 5, 6, 7, 8]
-        out = length_parallel_decode(student, teacher, src, LengthPolicy(C=1, B=0))
-        assert out == student.nar_greedy_emit(src, 6)
+        out = length_parallel_decode_corpus(student, teacher, [src], LengthPolicy(C=1, B=0))
+        assert out == student.nar_greedy_emit_batch([src], 6)
 
     def test_corpus_variant_matches_per_sentence(self, student, teacher):
         rng = rng_for(1, "lpd-corpus")
@@ -160,20 +132,22 @@ class TestDecode:
         policy = LengthPolicy(C=0, B=2)
         for mode in ("sum_logprob", "mean_logprob"):
             batched = length_parallel_decode_corpus(student, teacher, srcs, policy, mode)
-            singles = [length_parallel_decode(student, teacher, s, policy, mode)
+            singles = [length_parallel_decode_corpus(student, teacher, [s], policy, mode)[0]
                        for s in srcs]
             assert batched == singles
+            assert singles == [rerank_pick(student, teacher, s, policy, mode) for s in srcs]
 
     def test_candidates_beyond_max_len_are_dropped(self, student, teacher):
         # student max_len 32, teacher scores BOS+L so its cap is 31: with the
         # window [30, 34] only lengths 30 and 31 are decodable
-        src = [4] * 8
-        cands = score_candidates(student, teacher, src, LengthPolicy(C=24, B=2))
-        assert [c.length for c in cands] == [30, 31]
+        src, policy = [4] * 8, LengthPolicy(C=24, B=2)
+        assert _usable_lengths(student, teacher, len(src), policy) == [30, 31]
+        (out,) = length_parallel_decode_corpus(student, teacher, [src], policy)
+        assert out == rerank_pick(student, teacher, src, policy)
 
     def test_no_representable_candidate_raises(self, student, teacher):
         with pytest.raises(ValueError, match="max_len"):
-            length_parallel_decode(student, teacher, [4] * 8, LengthPolicy(C=40, B=1))
+            length_parallel_decode_corpus(student, teacher, [[4] * 8], LengthPolicy(C=40, B=1))
 
 
 def _groups(rng, per_length=3):
@@ -251,7 +225,8 @@ class TestGoldLength:
                 for _ in range(20)]
         refs = [[4] * int(rng.integers(1, 8)) for _ in srcs]
         out = gold_length_decode(student, srcs, refs)
-        assert out == [student.nar_greedy_emit(s, len(r)) for s, r in zip(srcs, refs)]
+        assert out == [student.nar_greedy_emit_batch([s], len(r))[0]
+                       for s, r in zip(srcs, refs)]
 
     def test_count_mismatch_rejected(self, student):
         with pytest.raises(ValueError, match="reference"):

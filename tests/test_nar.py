@@ -112,17 +112,17 @@ class TestNarForward:
 class TestNarEmit:
     def test_length_contract(self, model):
         for tl in (1, 3, 9):
-            assert len(model.nar_greedy_emit([4, 5, 6], tl)) == tl
+            assert len(model.nar_greedy_emit_batch([[4, 5, 6]], tl)[0]) == tl
 
     def test_matches_argmax_of_forward(self, model):
         src, tl = [4, 9, 11], 5
         dist = model.nar_forward(src, tl)
-        assert model.nar_greedy_emit(src, tl) == list(dist.argmax(axis=1))
+        assert model.nar_greedy_emit_batch([src], tl)[0] == list(dist.argmax(axis=1))
 
     def test_batch_matches_single(self, model):
         srcs = [[4, 5, 6], [7, 8, 9]]
         batched = model.nar_greedy_emit_batch(srcs, 4)
-        assert batched == [model.nar_greedy_emit(s, 4) for s in srcs]
+        assert batched == [model.nar_greedy_emit_batch([s], 4)[0] for s in srcs]
 
 
 class TestParamSet:

@@ -252,9 +252,9 @@ class TestAveragingAndInit:
         teacher = Transformer(cfg, seed=0)
         student = NARTransformer(cfg.as_nar(), seed=9)
         init_student_from_teacher(teacher.params, student.params)
-        src = [4, 9, 11, 5]
-        np.testing.assert_array_equal(teacher.encode(src).data,
-                                      student.encode(src).data)
+        src = np.array([[4, 9, 11, 5]])
+        np.testing.assert_array_equal(teacher.encode_batch(src).data,
+                                      student.encode_batch(src).data)
 
     def test_init_rejects_missing_and_mismatched(self):
         cfg = tiny_config()

@@ -92,35 +92,47 @@ class TestParams:
             Transformer(cfg, params)
 
 
+def encode(model, src):
+    """Encoder output for one sentence: (T, model_dim)."""
+    with T.no_grad():
+        return model.encode_batch(np.array([src])).data[0]
+
+
+def next_token_logprobs(model, src, prefix):
+    """log P(. | prefix, src) from one teacher-forced pass over the whole
+    BOS-initial ``prefix``: its last row of logits."""
+    with T.no_grad():
+        logits = model.ar_logits_batch(np.array([src]), np.array([prefix])).data[0, -1]
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
+
+
 class TestEncode:
     def test_row_count_equals_source_length(self, model):
         for T_src in (1, 3, 7):
-            out = model.encode(list(range(4, 4 + T_src)))
+            out = encode(model, list(range(4, 4 + T_src)))
             assert out.shape == (T_src, model.config.model_dim)
 
     def test_deterministic(self, model):
-        a = model.encode([5, 6, 7]).data
-        b = model.encode([5, 6, 7]).data
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(encode(model, [5, 6, 7]), encode(model, [5, 6, 7]))
 
     def test_token_permutation_changes_output(self, model):
-        a = model.encode([5, 6, 7]).data
-        b = model.encode([6, 5, 7]).data
+        a = encode(model, [5, 6, 7])
+        b = encode(model, [6, 5, 7])
         assert np.abs(a - b).max() > 1e-8
 
     def test_empty_source_rejected(self, model):
         with pytest.raises(ValueError, match="empty"):
-            model.encode([])
+            model.greedy_decode_batch([[]])
 
     def test_out_of_range_token_rejected(self, model):
         with pytest.raises(ValueError, match="out of range"):
-            model.encode([5, 99])
+            model.greedy_decode_batch([[5, 99]])
 
 
 class TestDecodeStep:
     def test_distribution_contract(self, model):
-        enc = model.encode([4, 5, 6])
-        p = model.ar_decode_step(enc, [BOS_ID, 5])
+        p = np.exp(next_token_logprobs(model, [4, 5, 6], [BOS_ID, 5]))
         assert p.shape == (model.config.vocab_size,)
         assert (p >= 0).all()
         assert abs(p.sum() - 1.0) <= 1e-12
@@ -128,29 +140,18 @@ class TestDecodeStep:
     def test_zero_output_layer_gives_uniform(self):
         m = Transformer(tiny_config(), seed=2)
         m.params["embedding"].data[:] = 0.0  # tied: output logits collapse to 0
-        p = m.ar_decode_step(Tensor(np.zeros((2, 16))), [BOS_ID])
-        np.testing.assert_allclose(p, 1.0 / m.config.vocab_size, atol=1e-12)
-
-    def test_prefix_must_start_with_bos(self, model):
-        enc = model.encode([4, 5])
-        with pytest.raises(ValueError, match="BOS"):
-            model.ar_decode_step(enc, [5, 6])
-
-    def test_overlong_prefix_rejected(self, model):
-        enc = model.encode([4, 5])
-        prefix = [BOS_ID] + [5] * model.config.max_len
-        with pytest.raises(ValueError, match="max_len"):
-            model.ar_decode_step(enc, prefix)
+        logp = next_token_logprobs(m, [4, 5], [BOS_ID])
+        np.testing.assert_allclose(np.exp(logp), 1.0 / m.config.vocab_size, atol=1e-12)
 
 
 class TestGreedyDecode:
     def test_deterministic(self, model):
         src = [4, 9, 11, 5]
-        assert model.greedy_decode(src) == model.greedy_decode(src)
+        assert model.greedy_decode_batch([src]) == model.greedy_decode_batch([src])
 
     def test_cap_respected(self, model):
         src = [4, 5, 6]
-        assert len(model.greedy_decode(src)) <= 2 * len(src) + 8
+        assert len(model.greedy_decode_batch([src])[0]) <= 2 * len(src) + 8
 
     def test_always_eos_model_emits_empty(self):
         m = UntiedHead(tiny_config(), seed=1)
@@ -159,19 +160,19 @@ class TestGreedyDecode:
         m.head.data[:] = 0.0
         # align the EOS output row with the actual first-step hidden state
         src = [5, 6]
-        enc = m.encode(src)
-        h = m._decode_hidden(m._embed(np.array([[BOS_ID]])), Tensor(enc.data[None]))
+        enc = encode(m, src)
+        h = m._decode_hidden(m._embed(np.array([[BOS_ID]])), Tensor(enc[None]))
         m.head.data[EOS_ID] = h.data[0, -1]
-        assert m.greedy_decode(src) == []
+        assert m.greedy_decode_batch([src]) == [[]]
 
     def test_batch_matches_single(self, model):
         srcs = [[4, 5, 6], [7, 8], [9, 10, 11], [4, 4]]
         batched = model.greedy_decode_batch(srcs)
-        singles = [model.greedy_decode(s) for s in srcs]
+        singles = [model.greedy_decode_batch([s])[0] for s in srcs]
         assert batched == singles
 
     def test_no_eos_in_output(self, model):
-        out = model.greedy_decode([4, 5, 6, 7])
+        (out,) = model.greedy_decode_batch([[4, 5, 6, 7]])
         assert EOS_ID not in out
 
 
@@ -184,19 +185,16 @@ class TestSequenceLogprob:
     def test_single_token_matches_step(self, model):
         src, tgt = [4, 5, 6], [9]
         total, _ = model.sequence_logprob(src, tgt)
-        enc = model.encode(src)
-        p = model.ar_decode_step(enc, [BOS_ID])
-        p_end = model.ar_decode_step(enc, [BOS_ID, tgt[0]])
-        assert total == pytest.approx(math.log(p[tgt[0]]) + math.log(p_end[EOS_ID]),
-                                      abs=1e-9)
+        logp = next_token_logprobs(model, src, [BOS_ID])
+        logp_end = next_token_logprobs(model, src, [BOS_ID, tgt[0]])
+        assert total == pytest.approx(logp[tgt[0]] + logp_end[EOS_ID], abs=1e-9)
 
     def test_matches_stepwise_sum(self, model):
         src, tgt = [4, 5, 6], [7, 10, 4, 8]
         total, mean = model.sequence_logprob(src, tgt)
-        enc = model.encode(src)
         prefix, acc = [BOS_ID], 0.0
         for tok in tgt + [EOS_ID]:
-            acc += math.log(model.ar_decode_step(enc, prefix)[tok])
+            acc += next_token_logprobs(model, src, prefix)[tok]
             prefix.append(tok)
         assert total == pytest.approx(acc, abs=1e-9)
         assert mean == pytest.approx(acc / (len(tgt) + 1), abs=1e-9)
