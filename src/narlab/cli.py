@@ -53,20 +53,24 @@ def _resolve(args) -> RunConfig:
     return default_config(overrides)
 
 
-def _check_lines(path, sentences, config, references: bool = False) -> list:
+def _check_lines(path, sentences, config, references: bool = False,
+                 after_bos: bool = False) -> list:
     """``sentences`` as read from ``path``, once no line is empty or longer
     than the model ``config``'s ``max_len`` and every token is a content id
     of its vocabulary; otherwise a CommandError naming the first bad line.
     ``references`` skips the id check: distilled references may hold
-    reserved ids."""
+    reserved ids.  ``after_bos`` marks lines the model reads after BOS,
+    which leaves them ``max_len - 1`` positions."""
+    limit = config.max_len - 1 if after_bos else config.max_len
     for lineno, s in enumerate(sentences, 1):
         bad = [t for t in s if not (references or N_RESERVED <= t < config.vocab_size)]
         if not s:
             reason = "empty line"
         elif bad:
             reason = f"token {bad[0]} is not a content id in [{N_RESERVED}, {config.vocab_size})"
-        elif len(s) > config.max_len:
-            reason = f"{len(s)} tokens exceed max_len {config.max_len}"
+        elif len(s) > limit:
+            reason = (f"{len(s)} tokens{' plus BOS' if after_bos else ''} "
+                      f"exceed max_len {config.max_len}")
         else:
             continue
         raise CommandError(f"{path}:{lineno}: {reason}")
@@ -76,10 +80,11 @@ def _check_lines(path, sentences, config, references: bool = False) -> list:
 def _read_pairs(directory: Path, split: str, config, references: bool = False) -> list:
     """The pairs of ``split``.src / ``split``.tgt under ``directory``, once
     ``_check_lines`` passes their sources and targets (the targets as
-    references if ``references``)."""
+    references if ``references``; an AR model reads its targets after BOS)."""
     pairs = read_pairs(directory, split)
     _check_lines(directory / f"{split}.src", [s for s, _ in pairs], config)
-    _check_lines(directory / f"{split}.tgt", [t for _, t in pairs], config, references)
+    _check_lines(directory / f"{split}.tgt", [t for _, t in pairs], config, references,
+                 after_bos=config.flavor == AR)
     return pairs
 
 

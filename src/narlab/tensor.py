@@ -7,6 +7,14 @@ topological order and accumulates gradients onto every tensor that
 requires them.  Tensors created inside a ``no_grad()`` block carry no
 node and are treated as constants.
 
+Three fused ops cover the pieces of a transformer layer with one node
+each: ``linear`` (x @ W + b), ``affine_layer_norm`` (normalize, then gain
+and bias) and ``attention_core`` (split heads, scaled scores, mask,
+softmax, context, merged heads).  Each runs the numpy calls of the
+primitive chain it replaces, in the same order, forward and backward, so
+its results have the same bits; it only saves the dispatch and the
+intermediate tensors the chain would record.
+
 Broadcasting for elementwise ops is deliberately narrow: equal shapes,
 scalar against anything, or one shape being a trailing suffix of the
 other (the leading-batch case, e.g. (D,) added to (B, T, D)).
@@ -14,6 +22,7 @@ other (the leading-batch case, e.g. (D,) added to (B, T, D)).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -102,14 +111,6 @@ class Tensor:
         return matmul(self, _wrap(other))
 
     # -- method sugar --------------------------------------------------
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
@@ -121,9 +122,13 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs) -> bool:
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _make(data, inputs, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         out.node = _Node(tuple(inputs), backward_fn)
     return out
@@ -278,6 +283,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(ad, bd), (a, b), back)
 
 
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b``: (..., d) rows through a (d, d') weight and a (d',) bias."""
+    if x.ndim < 2 or W.ndim != 2 or x.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
+        raise ShapeError(f"linear needs (..., d), (d, d') and (d',), got "
+                         f"{x.shape}, {W.shape} and {b.shape}")
+    xd, wd = x.data, W.data
+    out = np.matmul(xd, wd)
+    out += b.data
+
+    def back(g):
+        gx = np.matmul(g, wd.swapaxes(-1, -2))
+        gw = _reduce_to(np.matmul(xd.swapaxes(-1, -2), g), wd.shape)
+        return gx, gw, _reduce_to(g, b.shape)
+
+    return _make(out, (x, W, b), back)
+
+
 # ---------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------
@@ -304,15 +326,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    orig = x.shape
-    try:
-        out = x.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"cannot reshape {orig} to {shape}") from err
-    return _make(out, (x,), lambda g: (g.reshape(orig),))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -380,19 +393,36 @@ def log_softmax(x: Tensor) -> Tensor:
 LN_EPS = 1e-12
 
 
-def layer_norm(x: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def affine_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both of the last axis' size)."""
+    if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+        raise ShapeError(f"affine_layer_norm of {x.shape} needs gain and bias of "
+                         f"{x.shape[-1:]}, got {gain.shape} and {bias.shape}")
+    # x is centred once; the variance is np.var's own sum of squares of
+    # that centred array over the row size, so no bit differs from var()
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
+    gd = gain.data
+    if not _recording((x, gain, bias)):
+        # no backward needs xhat: scale and shift it in place
+        xhat *= gd
+        xhat += bias.data
+        return Tensor(xhat)
+    out = xhat * gd
+    out += bias.data
 
     def back(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
+        gn = g * gd
+        gm = gn.mean(axis=-1, keepdims=True)
+        gx = (gn * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gn - gm - xhat * gx), _reduce_to(g * xhat, gain.shape),
+                _reduce_to(g, bias.shape))
 
-    return _make(xhat, (x,), back)
+    return _make(out, (x, gain, bias), back)
 
 
 # ---------------------------------------------------------------------
@@ -408,13 +438,66 @@ def masked_fill(x: Tensor, allowed: np.ndarray, fill: float = MASK_FILL) -> Tens
     ``allowed`` is a constant boolean array broadcastable to ``x.shape``;
     gradients flow only through allowed positions.
     """
+    keep = _broadcast_mask(allowed, x.shape)
+    return _make(np.where(keep, x.data, fill), (x,), lambda g: (g * keep,))
+
+
+def _broadcast_mask(allowed, shape) -> np.ndarray:
     try:
-        keep = np.broadcast_to(np.asarray(allowed, dtype=bool), x.shape)
+        return np.broadcast_to(np.asarray(allowed, dtype=bool), shape)
     except ValueError as err:
         raise ShapeError(
-            f"mask of shape {np.shape(allowed)} does not broadcast to {x.shape}"
+            f"mask of shape {np.shape(allowed)} does not broadcast to {shape}"
         ) from err
-    return _make(np.where(keep, x.data, fill), (x,), lambda g: (g * keep,))
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                   allowed: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention of projected queries (B, Lq, d)
+    over projected keys and values (B, Lk, d), all with their heads unsplit.
+
+    Splits d into ``heads`` heads of dh = d / heads, scales the scores by
+    dh^-1/2, fills them with MASK_FILL where ``allowed`` (a constant boolean
+    array broadcast over (B, heads, Lq, Lk)) is False, takes the softmax
+    over the keys and the context, and merges the heads back to (B, Lq, d).
+    """
+    B, Lq, d = q.shape
+    Lk = k.shape[1]
+    if k.shape != (B, Lk, d) or v.shape != k.shape or d % heads:
+        raise ShapeError(f"attention_core needs q (B, Lq, d) and k, v (B, Lk, d) with d "
+                         f"divisible by {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    q4 = q.data.reshape(B, Lq, heads, dh).transpose(0, 2, 1, 3)
+    kT = k.data.reshape(B, Lk, heads, dh).transpose(0, 2, 1, 3).transpose(0, 1, 3, 2)
+    v4 = v.data.reshape(B, Lk, heads, dh).transpose(0, 2, 1, 3)
+    # the scores become the softmax in place, so no transient outlives its step
+    p = np.matmul(q4, kT)
+    p *= scale
+    keep = None if allowed is None else _broadcast_mask(allowed, p.shape)
+    if keep is not None:
+        np.copyto(p, MASK_FILL, where=~keep)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v4).transpose(0, 2, 1, 3).reshape(B, Lq, d)
+
+    def back(g):
+        gc = g.reshape(B, Lq, heads, dh).transpose(0, 2, 1, 3)
+        gs = np.matmul(gc, v4.swapaxes(-1, -2))
+        gv = np.matmul(p.swapaxes(-1, -2), gc)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        if keep is not None:
+            gs *= keep
+        gs *= scale
+        gq = np.matmul(gs, kT.swapaxes(-1, -2))
+        gk = np.matmul(q4.swapaxes(-1, -2), gs)
+        return (gq.transpose(0, 2, 1, 3).reshape(B, Lq, d),
+                gk.transpose(0, 3, 1, 2).reshape(B, Lk, d),
+                gv.transpose(0, 2, 1, 3).reshape(B, Lk, d))
+
+    return _make(out, (q, k, v), back)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

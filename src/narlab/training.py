@@ -99,13 +99,25 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # m and v are updated in place, each ufunc in the order of
+        # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        # p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
-            p.data = p.data - lr * update
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v += gg
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            update = m / bc1
+            update /= denom
+            update *= lr
+            p.data = p.data - update
 
 
 # ---------------------------------------------------------------------

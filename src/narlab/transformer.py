@@ -11,6 +11,16 @@ position, and the student's decoder, which has no causal mask, hides it
 with a key-padding mask built from the per-row lengths.  Greedy decoding
 feeds one position per step, which attends over the cached keys and values
 of the positions before it and so needs no mask at all.
+
+Each layer piece is one fused op of ``narlab.tensor``: projections and the
+feed-forward halves are ``linear``, the layer norms ``affine_layer_norm``,
+and multi-head attention ``attention_core`` over unsplit (B, L, d) query,
+key and value projections, which splits and merges the heads itself.  The
+greedy decoder's cache therefore holds, per layer, the unsplit self-attention
+K and V of every position fed so far, (B, t, d) each, grown by one position
+per step along axis 1, and the cross-attention K and V of the null row and
+the T source positions, (B, 1 + T, d) each, projected on the first step;
+an ended sentence drops its row of every cached array.
 """
 
 from __future__ import annotations
@@ -148,42 +158,30 @@ def make_causal_mask(n: int) -> np.ndarray:
 # sublayers
 # ---------------------------------------------------------------------
 
-def _kv(params: dict, prefix: str, kv_in: Tensor, num_heads: int) -> tuple:
-    """Keys and values of ``kv_in`` (B, Lk, d), projected and split into
-    heads: two (B, H, Lk, d / H) tensors."""
-    B, Lk, d = kv_in.shape
-    dh = d // num_heads
-    k = T.matmul(kv_in, params[f"{prefix}.Wk"]) + params[f"{prefix}.bk"]
-    v = T.matmul(kv_in, params[f"{prefix}.Wv"]) + params[f"{prefix}.bv"]
-    return (k.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3)),
-            v.reshape(B, Lk, num_heads, dh).transpose((0, 2, 1, 3)))
+def _kv(params: dict, prefix: str, kv_in: Tensor) -> tuple:
+    """Keys and values of ``kv_in`` (B, Lk, d): two (B, Lk, d) projections,
+    heads unsplit."""
+    return (T.linear(kv_in, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]),
+            T.linear(kv_in, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
 
 
 def _attention(params: dict, prefix: str, q_in: Tensor, kv: tuple,
                num_heads: int, allowed: np.ndarray | None = None) -> Tensor:
     """Multi-head attention of ``q_in`` over the keys and values ``kv``
     from ``_kv``; ``allowed`` broadcasts over (B, H, Lq, Lk)."""
-    B, Lq, d = q_in.shape
-    dh = d // num_heads
-    k, v = kv
-    q = T.matmul(q_in, params[f"{prefix}.Wq"]) + params[f"{prefix}.bq"]
-    q = q.reshape(B, Lq, num_heads, dh).transpose((0, 2, 1, 3))
-    scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * Tensor(1.0 / math.sqrt(dh))
-    if allowed is not None:
-        scores = T.masked_fill(scores, allowed)
-    ctx = T.matmul(T.softmax(scores), v)
-    ctx = ctx.transpose((0, 2, 1, 3)).reshape(B, Lq, d)
-    return T.matmul(ctx, params[f"{prefix}.Wo"]) + params[f"{prefix}.bo"]
+    q = T.linear(q_in, params[f"{prefix}.Wq"], params[f"{prefix}.bq"])
+    ctx = T.attention_core(q, *kv, num_heads, allowed)
+    return T.linear(ctx, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(params: dict, prefix: str, x: Tensor) -> Tensor:
-    h = T.relu(T.matmul(x, params[f"{prefix}.W1"]) + params[f"{prefix}.b1"])
-    return T.matmul(h, params[f"{prefix}.W2"]) + params[f"{prefix}.b2"]
+    h = T.relu(T.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
+    return T.linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])
 
 
 def _ln(params: dict, prefix: str, x: Tensor) -> Tensor:
     """Layer norm with learned per-dim gain and bias (the usual affine)."""
-    return T.layer_norm(x) * params[f"{prefix}.gain"] + params[f"{prefix}.bias"]
+    return T.affine_layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
 def _with_null_row(params: dict, prefix: str, kv: Tensor) -> Tensor:
@@ -243,8 +241,7 @@ class Transformer:
         for i in range(cfg.num_layers):
             pre = f"encoder.layer{i}"
             n = _ln(p, f"{pre}.ln1", x)
-            x = x + _attention(p, f"{pre}.attn", n, _kv(p, f"{pre}.attn", n, cfg.num_heads),
-                               cfg.num_heads)
+            x = x + _attention(p, f"{pre}.attn", n, _kv(p, f"{pre}.attn", n), cfg.num_heads)
             x = x + _ffn(p, f"{pre}.ffn", _ln(p, f"{pre}.ln2", x))
         return _ln(p, "encoder.ln", x)
 
@@ -260,16 +257,16 @@ class Transformer:
         With a cache, the K/V of the position fed now join those of the
         positions before it, and the cross-attention K/V (null row included)
         are projected on the first step only."""
-        p, heads = self.params, self.config.num_heads
+        p = self.params
         sa, ca = f"{prefix}.self_attn", f"{prefix}.cross_attn"
-        self_kv = _kv(p, sa, n, heads)
+        self_kv = _kv(p, sa, n)
         if cache is None:
-            return self_kv, _kv(p, ca, _with_null_row(p, ca, enc_out), heads)
+            return self_kv, _kv(p, ca, _with_null_row(p, ca, enc_out))
         if sa in cache:
-            self_kv = tuple(T.concat([old, new], axis=2)
+            self_kv = tuple(T.concat([old, new], axis=1)
                             for old, new in zip(cache[sa], self_kv))
         else:
-            cache[ca] = _kv(p, ca, _with_null_row(p, ca, enc_out), heads)
+            cache[ca] = _kv(p, ca, _with_null_row(p, ca, enc_out))
         cache[sa] = self_kv
         return self_kv, cache[ca]
 

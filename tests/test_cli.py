@@ -453,6 +453,9 @@ MALFORMED = {
     "train-teacher source id past vocabulary": _bad_data("train-teacher", "train.src",
                                                          "4 5 6\n4 99 6\n", 2),
     "train-teacher target line empty": _bad_data("train-teacher", "train.tgt", "4 5 6\n\n", 2),
+    # the teacher reads BOS + target, so a target of max_len (32) tokens is too long
+    "train-teacher target as long as max_len": _bad_data("train-teacher", "train.tgt",
+                                                         "4 5 6\n" + "5 " * 32 + "\n", 2),
     "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
     "train-student source id past vocabulary": _bad_data("train-student", "mono.src",
                                                          "4 5 6\n4 99 6\n", 2),

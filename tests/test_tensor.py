@@ -1,5 +1,7 @@
 """Numeric core: forward oracles, backward vs finite differences, shape policing."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,24 @@ from hypothesis import strategies as st
 from narlab import tensor as T
 from narlab.gradcheck import grad_check
 from narlab.tensor import ShapeError, Tensor
+from narlab.transformer import make_causal_mask
+
+import oracles
 
 
 def rand(shape, seed, scale=1.0, offset=0.0):
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal(shape) * scale + offset)
+
+
+def layer_norm(x):
+    """Layer norm alone: the affine one with gain 1 and bias 0."""
+    d = x.shape[-1]
+    return T.affine_layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
+
+
+def key_padding(lengths, n):
+    return (np.arange(n) < np.asarray(lengths)[:, None])[:, None, None, :]
 
 
 class TestForwardOracles:
@@ -45,12 +60,12 @@ class TestForwardOracles:
 
     def test_layer_norm_moments(self):
         x = rand((5, 16), seed=3, scale=4.0, offset=2.0)
-        out = T.layer_norm(x).data
+        out = layer_norm(x).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-8)
 
     def test_layer_norm_constant_row_is_finite(self):
-        out = T.layer_norm(Tensor(np.full((2, 8), 3.0))).data
+        out = layer_norm(Tensor(np.full((2, 8), 3.0))).data
         assert np.isfinite(out).all()
 
     def test_matmul_matches_numpy(self):
@@ -122,9 +137,26 @@ class TestShapePolicing:
         with pytest.raises(ShapeError):
             (x * x).backward()
 
-    def test_bad_reshape(self):
+    def test_linear_shapes(self):
+        x, W = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3))).reshape(4, 2)
+            T.linear(x, W, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            T.linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+
+    def test_affine_layer_norm_shapes(self):
+        with pytest.raises(ShapeError):
+            T.affine_layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)),
+                                Tensor(np.zeros(3)))
+
+    def test_attention_core_shapes(self):
+        q, kv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError):
+            T.attention_core(q, kv, Tensor(np.zeros((2, 5, 6))), 2)
+        with pytest.raises(ShapeError):
+            T.attention_core(q, kv, kv, 3)
+        with pytest.raises(ShapeError):
+            T.attention_core(q, kv, kv, 2, np.ones((4, 5), dtype=bool))
 
 
 class TestBackwardAnalytic:
@@ -218,22 +250,29 @@ class TestBackwardFiniteDiff:
         w = Tensor(np.random.default_rng(24).standard_normal((2, 5)))
         self.check(lambda x: (T.log_softmax(x) * w).sum(), [(2, 5)], seed=24)
 
-    def test_layer_norm(self):
+    def test_affine_layer_norm_unit_affine(self):
         w = Tensor(np.random.default_rng(25).standard_normal((3, 8)))
-        self.check(lambda x: (T.layer_norm(x) * w).sum(), [(3, 8)], seed=25, scale=2.0)
+        self.check(lambda x: (layer_norm(x) * w).sum(), [(3, 8)], seed=25, scale=2.0)
 
-    def test_reshape_transpose(self):
-        self.check(
-            lambda x: (x.reshape(4, 3).transpose() * x.reshape(3, 4)).sum(),
-            [(2, 6)],
-            seed=26,
-        )
+    def test_affine_layer_norm(self):
+        w = Tensor(np.random.default_rng(29).standard_normal((2, 3, 8)))
+        self.check(lambda x, gain, bias: (T.affine_layer_norm(x, gain, bias) * w).sum(),
+                   [(2, 3, 8), (8,), (8,)], seed=29, scale=2.0)
+
+    def test_linear(self):
+        # a 3-d input through a 2-d weight, as every model projection is
+        self.check(lambda x, W, b: (T.linear(x, W, b) * T.linear(x, W, b)).sum(),
+                   [(2, 3, 4), (4, 5), (5,)], seed=30)
+
+    def test_transpose(self):
+        w = Tensor(np.random.default_rng(26).standard_normal((6, 2)))
+        self.check(lambda x: (T.transpose(x) * w).sum(), [(2, 6)], seed=26)
 
     def test_transpose_axes(self):
-        self.check(lambda x: (x.transpose((1, 0, 2)) * x.transpose((1, 0, 2))).sum(),
+        self.check(lambda x: (T.transpose(x, (1, 0, 2)) * T.transpose(x, (1, 0, 2))).sum(),
                    [(2, 3, 4)], seed=27)
 
-    def test_sum_axis(self):
+    def test_reduce_sum_axis(self):
         self.check(lambda x: (x.sum(axis=1) * x.sum(axis=1)).sum(), [(3, 4)], seed=28)
 
     def test_masked_fill(self):
@@ -257,11 +296,23 @@ class TestBackwardFiniteDiff:
         self.check(lambda a, b: T.exp(T.concat([a, b], axis=1)).sum(),
                    [(2, 3), (2, 5)], seed=35)
 
+    @pytest.mark.parametrize("Lq, Lk, allowed", [
+        (3, 3, None),
+        (3, 3, make_causal_mask(3)),
+        (3, 4, key_padding([4, 2], 4)),
+        (1, 4, None),
+        (1, 4, key_padding([3, 4], 4)),
+    ], ids=["unmasked", "causal", "key-padding", "one-query", "one-query-key-padding"])
+    def test_attention_core(self, Lq, Lk, allowed):
+        w = Tensor(np.random.default_rng(36).standard_normal((2, Lq, 4)))
+        self.check(lambda q, k, v: (T.attention_core(q, k, v, 2, allowed) * w).sum(),
+                   [(2, Lq, 4), (2, Lk, 4), (2, Lk, 4)], seed=36)
+
     def test_composite_mlp(self):
         # small end-to-end chain touching most primitives at once
         def f(x, w1, w2):
             h = T.exp(T.matmul(x, w1))
-            return T.log_softmax(T.matmul(T.layer_norm(h), w2)).sum()
+            return T.log_softmax(T.matmul(layer_norm(h), w2)).sum()
 
         self.check(f, [(2, 3), (3, 5), (5, 4)], seed=33)
 
@@ -278,8 +329,73 @@ class TestHypothesisInvariants:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
     def test_layer_norm_unit_variance(self, seed, d):
         x = np.random.default_rng(seed).standard_normal(d) * 3.0 + 1.0
-        out = T.layer_norm(Tensor(x)).data
+        out = layer_norm(Tensor(x)).data
         assert abs(out.mean()) < 1e-9
-        # layer_norm adds LN_EPS to the variance, so the output variance
+        # the layer norm adds LN_EPS to the variance, so the output variance
         # is var / (var + eps) rather than exactly 1
         assert abs(out.var() - x.var() / (x.var() + T.LN_EPS)) < 1e-8
+
+
+def _fused_grads(op, arrays, g, *args):
+    """Output and input gradients of fused ``op`` for output gradient ``g``;
+    the output must not depend on whether the graph is recorded."""
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*inputs, *args)
+    (out * Tensor(g)).sum().backward()
+    with T.no_grad():
+        np.testing.assert_array_equal(op(*map(Tensor, arrays), *args).data, out.data)
+    return out.data, [t.grad for t in inputs]
+
+
+class TestFusedOpsMatchChains:
+    """Each fused op gives exactly the bits of the primitive chain it
+    replaces, forward and backward (chains in tests/oracles.py)."""
+
+    def assert_same(self, fused, chain):
+        out, grads = fused
+        ref_out, ref_grads = chain
+        np.testing.assert_array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("x_shape", [(5, 16), (3, 7, 16), (2, 1, 16)])
+    def test_linear(self, x_shape):
+        rng = np.random.default_rng(40)
+        x, W, b = rng.standard_normal(x_shape), rng.standard_normal((16, 24)), rng.standard_normal(24)
+        g = rng.standard_normal(x_shape[:-1] + (24,))
+        self.assert_same(_fused_grads(T.linear, [x, W, b], g), oracles.linear_chain(x, W, b, g))
+
+    @pytest.mark.parametrize("x_shape", [(12,), (5, 12), (3, 7, 12)])
+    def test_affine_layer_norm(self, x_shape):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(x_shape) * 3.0 + 1.0
+        gain, bias, g = rng.standard_normal(12), rng.standard_normal(12), rng.standard_normal(x_shape)
+        self.assert_same(_fused_grads(T.affine_layer_norm, [x, gain, bias], g),
+                         oracles.affine_layer_norm_chain(x, gain, bias, g))
+
+    @pytest.mark.parametrize("B, Lq, Lk, allowed", [
+        (3, 6, 6, None),
+        (3, 6, 6, make_causal_mask(6)),
+        (3, 5, 8, key_padding([8, 3, 6], 8)),
+        (4, 1, 7, None),
+    ], ids=["unmasked", "causal", "key-padding", "one-query"])
+    def test_attention_core(self, B, Lq, Lk, allowed):
+        rng = np.random.default_rng(42)
+        q = rng.standard_normal((B, Lq, 16))
+        k, v = rng.standard_normal((B, Lk, 16)), rng.standard_normal((B, Lk, 16))
+        g = rng.standard_normal((B, Lq, 16))
+        self.assert_same(_fused_grads(T.attention_core, [q, k, v], g, 4, allowed),
+                         oracles.attention_chain(q, k, v, 4, allowed, g))
+
+
+def test_every_op_has_a_finite_difference_test():
+    """A public op of narlab.tensor lands with a test_<op>[_case] method in
+    TestBackwardFiniteDiff."""
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_")} - {"no_grad", "backward"}
+    tests = [name for name in vars(TestBackwardFiniteDiff) if name.startswith("test_")]
+    untested = sorted(op for op in ops
+                      if not any(t == f"test_{op}" or t.startswith(f"test_{op}_") for t in tests))
+    assert "attention_core" in ops and not untested, f"no finite-difference test: {untested}"
