@@ -17,14 +17,7 @@ from pathlib import Path
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import RunConfig, RunLock, load_config, default_config, run_dir, write_resolved
 from .corpora import read_pairs, read_sentences, write_json, write_pairs, write_sentences
-from .distill import (
-    MONOLINGUAL,
-    PARALLEL,
-    dedup_adjacent,
-    distill_corpus,
-    mix_monolingual,
-    strip_origin,
-)
+from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus, mix_monolingual
 from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
                        corpus_bleu, loss_gap_analysis)
 from .lengths import (RANK_MODES, LengthPolicy, estimate_C, gold_length_decode,
@@ -150,7 +143,7 @@ def cmd_gen_data(args) -> int:
             "task": asdict(cfg.task),
             "sizes": {k: len(v) for k, v in corpus.items()},
             "mono_size": len(mono),
-            "vocab_size": cfg.task.n_content + N_RESERVED,
+            "vocab_size": cfg.task.vocab.size,
             "seed": cfg.data.seed,
         })
     for split, pairs in corpus.items():
@@ -240,10 +233,8 @@ def cmd_train_student(args) -> int:
     with RunLock(out):
         write_resolved(cfg, out)
         teacher, _ = _load_model(teacher_path, AR)
-        par = [(s, t, PARALLEL) for s, t in splits["train"]]
-        mono = [(s, t, MONOLINGUAL) for s, t in splits["mono"]]
-        mixed = strip_origin(mix_monolingual(par, mono, cfg.distill.mono_fraction,
-                                             cfg.distill.mix_seed))
+        mixed = mix_monolingual(splits["train"], splits["mono"], cfg.distill.mono_fraction,
+                                cfg.distill.mix_seed)
         if student.config.vocab_size != teacher.config.vocab_size:
             raise CommandError(
                 f"teacher vocab {teacher.config.vocab_size} does not match "
@@ -363,26 +354,23 @@ def cmd_analyze(args) -> int:
         data = Path(args.data)
         B_values = _parse_option("--b-values", args.b_values, _half_widths,
                                  "a comma list of nonnegative integers")
-        report = {"B_values": B_values, "cells": {}, "gold": {}}
+        sweeps = {}
         for name, (student, extra) in students.items():
             pairs = _read_pairs(data, "test", student.config, references=True)
-            one = b_sweep({name: student}, teacher, pairs, B_values,
-                          _length_offset(args.length_offset, extra),
-                          rank_mode=args.rank_mode, smooth=args.smooth)
-            report["cells"].update(one["cells"])
-            report["gold"].update(one["gold"])
+            sweeps[name] = b_sweep(student, teacher, pairs, B_values,
+                                   _length_offset(args.length_offset, extra),
+                                   rank_mode=args.rank_mode, smooth=args.smooth)
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w") as fh:
             fh.write("# variant B bleu\n")
-            for name in sorted(report["cells"]):
-                for B in report["B_values"]:
-                    fh.write(f"{name} {B} {report['cells'][name][B]:.4f}\n")
-                fh.write(f"{name} gold {report['gold'][name]:.4f}\n")
-        for name in sorted(report["cells"]):
-            cells = "  ".join(f"B={B}: {report['cells'][name][B]:.2f}"
-                              for B in report["B_values"])
-            print(f"{name}: {cells}  gold: {report['gold'][name]:.2f}")
+            for name, (cells, gold) in sorted(sweeps.items()):
+                for B in B_values:
+                    fh.write(f"{name} {B} {cells[B]:.4f}\n")
+                fh.write(f"{name} gold {gold:.4f}\n")
+        for name, (cells, gold) in sorted(sweeps.items()):
+            line = "  ".join(f"B={B}: {cells[B]:.2f}" for B in B_values)
+            print(f"{name}: {line}  gold: {gold:.2f}")
         return 0
 
     # buckets
@@ -397,18 +385,18 @@ def cmd_analyze(args) -> int:
         if not any(lo <= len(s) <= hi for lo, hi in edges):
             raise CommandError(f"{args.src}:{lineno}: source length {len(s)} "
                                f"not covered by any bucket")
-    table = bucket_bleu(hyps, refs, srcs, edges, smooth=args.smooth)
+    rows = bucket_bleu(hyps, refs, srcs, edges, smooth=args.smooth)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         fh.write("# lo hi count bleu\n")
-        for row in table.rows:
+        for row in rows:
             bleu = "absent" if row.bleu is None else f"{row.bleu:.4f}"
             fh.write(f"{row.interval[0]} {row.interval[1]} {row.count} {bleu}\n")
-    for row in table.rows:
+    for row in rows:
         bleu = "absent" if row.bleu is None else f"{row.bleu:.2f}"
         print(f"[{row.interval[0]}, {row.interval[1]}]: n={row.count} BLEU {bleu}")
-    print(f"total {table.total_count}")
+    print(f"total {len(srcs)}")
     return 0
 
 

@@ -18,7 +18,6 @@ from .lengths import RANK_MODES
 from .tasks import TaskSpec
 from .training import TrainConfig
 from .transformer import AR, ModelConfig
-from .vocab import N_RESERVED
 
 #: environment variable holding the default output root for relative
 #: output_dir values
@@ -92,7 +91,7 @@ class RunConfig:
 
     def model_config(self, flavor: str = AR) -> ModelConfig:
         return ModelConfig(
-            vocab_size=self.task.n_content + N_RESERVED,
+            vocab_size=self.task.vocab.size,
             flavor=flavor,
             **asdict(self.model),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lengths import LengthPolicy, gold_length_decode, length_parallel_decode_corpus
 
@@ -95,15 +95,6 @@ class BucketRow:
     bleu: float | None
 
 
-@dataclass
-class LengthBucketTable:
-    rows: list = field(default_factory=list)
-
-    @property
-    def total_count(self) -> int:
-        return sum(r.count for r in self.rows)
-
-
 def check_bucket_edges(bucket_edges) -> list:
     """The inclusive (lo, hi) intervals sorted, once none is empty-ranged
     and none overlap; otherwise a ValueError."""
@@ -118,9 +109,10 @@ def check_bucket_edges(bucket_edges) -> list:
 
 
 def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
-                smooth: bool = False) -> LengthBucketTable:
-    """Corpus BLEU per source-length interval; intervals are inclusive and
-    must not overlap, and every source length must fall in some bucket."""
+                smooth: bool = False) -> list:
+    """One BucketRow per source-length interval, in sorted order, holding
+    its corpus BLEU; intervals are inclusive and must not overlap, and
+    every source length must fall in some bucket."""
     if not len(hypotheses) == len(references) == len(sources):
         raise ValueError("hypotheses, references and sources must align")
     edges = check_bucket_edges(bucket_edges)
@@ -133,42 +125,37 @@ def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
             raise ValueError(f"source length {L} not covered by any bucket")
         members[home].append(i)
 
-    table = LengthBucketTable()
+    rows = []
     for e in edges:
         idx = members[e]
         if not idx:
-            table.rows.append(BucketRow(e, 0, None))
+            rows.append(BucketRow(e, 0, None))
             continue
         rep = corpus_bleu([hypotheses[i] for i in idx], [references[i] for i in idx],
                           smooth=smooth)
-        table.rows.append(BucketRow(e, len(idx), rep.bleu))
-    return table
+        rows.append(BucketRow(e, len(idx), rep.bleu))
+    return rows
 
 
 # ---------------------------------------------------------------------
 # half-width sweep (Table 3 analog)
 # ---------------------------------------------------------------------
 
-def b_sweep(students: dict, teacher, test_pairs, B_values, C: int,
-            rank_mode: str = "sum_logprob", smooth: bool = False) -> dict:
-    """BLEU per (B, student variant) plus a gold-length row per variant.
-
-    The gold row decodes each sentence at its true target length with no
-    candidate generation or reranking.
-    """
+def b_sweep(student, teacher, test_pairs, B_values, C: int,
+            rank_mode: str = "sum_logprob", smooth: bool = False) -> tuple:
+    """One student's BLEU per half-width, ``{B: bleu}``, and its gold-length
+    BLEU: each sentence decoded at its true target length with no
+    candidate generation or reranking."""
     srcs = [s for s, _ in test_pairs]
     refs = [t for _, t in test_pairs]
-    cells: dict = {name: {} for name in students}
-    gold: dict = {}
-    for name, student in students.items():
-        for B in B_values:
-            hyps = length_parallel_decode_corpus(
-                student, teacher, srcs, LengthPolicy(C=C, B=int(B)), rank_mode
-            )
-            cells[name][int(B)] = corpus_bleu(hyps, refs, smooth=smooth).bleu
-        hyps = gold_length_decode(student, srcs, refs)
-        gold[name] = corpus_bleu(hyps, refs, smooth=smooth).bleu
-    return {"B_values": [int(b) for b in B_values], "cells": cells, "gold": gold}
+    cells = {}
+    for B in B_values:
+        hyps = length_parallel_decode_corpus(
+            student, teacher, srcs, LengthPolicy(C=C, B=int(B)), rank_mode
+        )
+        cells[int(B)] = corpus_bleu(hyps, refs, smooth=smooth).bleu
+    gold = corpus_bleu(gold_length_decode(student, srcs, refs), refs, smooth=smooth).bleu
+    return cells, gold
 
 
 # ---------------------------------------------------------------------

@@ -54,13 +54,6 @@ def candidate_lengths(T: int, policy: LengthPolicy) -> list:
     return cands if cands else [1]
 
 
-@dataclass
-class ScoredCandidate:
-    length: int
-    tokens: list
-    score: float
-
-
 def _usable_lengths(student, teacher, T: int, policy: LengthPolicy) -> list:
     """Candidates that both models can represent: the student emits L
     positions, the teacher scores BOS + L positions."""
@@ -74,9 +67,13 @@ def _usable_lengths(student, teacher, T: int, policy: LengthPolicy) -> list:
     return usable
 
 
-def _rank_key(cand: ScoredCandidate, center: int):
-    # maximize score; break ties toward the predicted length, then shorter
-    return (cand.score, -abs(cand.length - center), -cand.length)
+def _pick(lens, center: int, scores: np.ndarray) -> np.ndarray:
+    """Per column of the (K, G) ``scores`` of candidate lengths ``lens``,
+    the row of the best candidate: highest score, then the length nearest
+    the predicted ``center``, then the shorter one."""
+    pref = sorted(range(len(lens)), key=lambda k: (abs(lens[k] - center), lens[k]))
+    # argmax keeps the first of equal scores, the preferred length
+    return np.asarray(pref)[np.argmax(scores[pref], axis=0)]
 
 
 def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
@@ -94,16 +91,18 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
 
     def rerank(T_src, idxs):
         lens = _usable_lengths(student, teacher, T_src, policy)
-        scored = _score_group(student, teacher, [srcs[i] for i in idxs], lens, rank_mode)
-        center = T_src + policy.C
-        return [max(cands, key=lambda c: _rank_key(c, center)).tokens for cands in scored]
+        emitted, scores = _score_group(student, teacher, [srcs[i] for i in idxs], lens,
+                                       rank_mode)
+        picks = _pick(lens, T_src + policy.C, scores)
+        return [emitted[k * len(idxs) + j] for j, k in enumerate(picks)]
 
     return map_groups([len(s) for s in srcs], rerank)
 
 
-def _score_group(student, teacher, group, lens, rank_mode: str) -> list:
+def _score_group(student, teacher, group, lens, rank_mode: str) -> tuple:
     """Every candidate of G same-length sources at each of the K lengths
-    ``lens``: one list of ScoredCandidate per source.
+    ``lens``: the K * G emissions, length-major (row k * G + j holds source
+    j at length ``lens[k]``), and their teacher scores as a (K, G) array.
 
     Each model encodes the group once.  The K * G candidate rows, ordered
     length-major and right-padded to the longest length, then take one
@@ -118,9 +117,7 @@ def _score_group(student, teacher, group, lens, rank_mode: str) -> list:
     emitted = student.nar_greedy_emit_batch(rows, np.repeat(lens, G), enc_out=s_enc)
     totals, means = teacher.sequence_logprob_batch(rows, emitted, enc_out=t_enc)
     scores = totals if rank_mode == "sum_logprob" else means
-    return [[ScoredCandidate(lens[k], emitted[k * G + j], float(scores[k * G + j]))
-             for k in range(K)]
-            for j in range(G)]
+    return emitted, scores.reshape(K, G)
 
 
 def gold_length_decode(student, srcs, refs) -> list:

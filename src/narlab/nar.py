@@ -73,9 +73,6 @@ class NARTransformer(Transformer):
     def _layer_input(self, x: Tensor) -> Tensor:
         return x + T.gather_rows(self.params["decoder.pos_embedding"], np.arange(x.shape[1]))
 
-    def _soft_copy_batch(self, enc_out: Tensor, target_len) -> Tensor:
-        return soft_copy(enc_out, target_len, self.sigma_sq)
-
     def nar_logits_batch(self, src_ids: np.ndarray, target_len,
                          enc_out: Tensor | None = None,
                          dec_in: Tensor | None = None) -> Tensor:
@@ -94,7 +91,7 @@ class NARTransformer(Transformer):
         if enc_out is None:
             enc_out = self.encode_batch(src_ids)
         if dec_in is None:
-            dec_in = self._soft_copy_batch(enc_out, target_len)
+            dec_in = soft_copy(enc_out, target_len, self.sigma_sq)
         return self._project(self._decode_hidden(dec_in, enc_out, lengths=lengths))
 
     # -- public single-sentence API ------------------------------------

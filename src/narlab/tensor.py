@@ -75,10 +75,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -92,30 +88,15 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __mul__(self, other):
         return multiply(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return multiply(_wrap(other), self)
 
     def __truediv__(self, other):
         return divide(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return divide(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     # -- method sugar --------------------------------------------------
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x) -> Tensor:
@@ -178,8 +159,10 @@ def backward(loss: Tensor) -> None:
                     f"gradient shape {g.shape} does not match tensor shape {inp.data.shape}"
                 )
             if inp.grad is None:
-                # broadcast views are read-only; own the buffer before storing
-                inp.grad = g if (g.base is None and g.flags.writeable) else g.copy()
+                # a broadcast view is read-only and a transposed one is not in
+                # C order, which would change the summation order of later
+                # reductions: store a C-ordered buffer that may be written
+                inp.grad = g if (g.flags.writeable and g.flags.c_contiguous) else g.copy()
             else:
                 inp.grad = inp.grad + g
 

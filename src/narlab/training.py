@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .transformer import NAR
-from .util import rng_for
+from .util import group_positions, rng_for
 from .vocab import BOS_ID, EOS_ID
 
 @dataclass(frozen=True)
@@ -125,19 +125,17 @@ class Adam:
 # ---------------------------------------------------------------------
 
 def make_batches(pairs, batch_tokens: int, rng=None) -> list:
-    """Rectangular batches: pairs grouped by exact (src_len, tgt_len), each
-    group chunked to about ``batch_tokens`` source+target tokens.  With an
-    rng, order is shuffled within groups and across batches."""
-    groups: dict = {}
-    for src, tgt in pairs:
-        groups.setdefault((len(src), len(tgt)), []).append((src, tgt))
+    """Rectangular batches: the list ``pairs`` grouped by exact (src_len,
+    tgt_len), each group chunked to about ``batch_tokens`` source+target
+    tokens.  With an rng, order is shuffled within groups and across
+    batches."""
     batches = []
-    for (ls, lt), members in sorted(groups.items()):
+    for (ls, lt), idxs in group_positions([(len(s), len(t)) for s, t in pairs]):
         if rng is not None:
-            members = [members[i] for i in rng.permutation(len(members))]
+            idxs = [idxs[i] for i in rng.permutation(len(idxs))]
         per = max(1, batch_tokens // (ls + lt + 1))
-        for i in range(0, len(members), per):
-            chunk = members[i : i + per]
+        for i in range(0, len(idxs), per):
+            chunk = [pairs[j] for j in idxs[i : i + per]]
             src_arr = np.array([s for s, _ in chunk], dtype=np.int64)
             tgt_arr = np.array([t for _, t in chunk], dtype=np.int64)
             batches.append((src_arr, tgt_arr))

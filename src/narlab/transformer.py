@@ -334,7 +334,8 @@ class Transformer:
                     live, nxt = live[keep], nxt[keep]
                     if live.size == 0:
                         break
-                    enc_out = Tensor(enc_out.data[keep])
+                    # enc_out keeps its ended rows: only the first step reads
+                    # it, and the cross-attention K/V in the cache replace it
                     for key, kv in cache.items():
                         cache[key] = tuple(Tensor(a.data[keep]) for a in kv)
                 tokens = nxt[:, None]

@@ -36,16 +36,22 @@ def stable_bucket(parts, n_buckets: int, *, key: str = "") -> int:
     return int.from_bytes(h.digest(), "big") % n_buckets
 
 
+def group_positions(keys) -> list:
+    """(key, positions) for each distinct value in the list ``keys``, in
+    sorted key order; the positions holding a key are in input order."""
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    return sorted(groups.items())
+
+
 def map_groups(keys, fn) -> list:
     """Run ``fn(key, idxs)`` once per distinct value in the list ``keys``, in
     sorted key order, on the positions ``idxs`` holding that key; ``fn``
     returns one result per position, and the results come back in input
     order."""
-    groups: dict = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
     out: list = [None] * len(keys)
-    for k, idxs in sorted(groups.items()):
+    for k, idxs in group_positions(keys):
         for i, r in zip(idxs, fn(k, idxs)):
             out[i] = r
     return out

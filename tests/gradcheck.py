@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, backward, no_grad
+from narlab.tensor import Tensor, backward, no_grad
 
 ABS_FLOOR = 1e-7  # |g - fd| at or below this counts as exact agreement
 

@@ -89,9 +89,9 @@ class TestBucketBleu:
                 for _ in range(10)]
         hyps = [list(reversed(s)) for s in srcs]
         refs = [list(reversed(s)) if i % 2 else s[:] for i, s in enumerate(srcs)]
-        table = bucket_bleu(hyps, refs, srcs, bucket_edges=((1, 20),), smooth=True)
-        assert len(table.rows) == 1
-        assert table.rows[0].bleu == pytest.approx(
+        rows = bucket_bleu(hyps, refs, srcs, bucket_edges=((1, 20),), smooth=True)
+        assert len(rows) == 1
+        assert rows[0].bleu == pytest.approx(
             corpus_bleu(hyps, refs, smooth=True).bleu, abs=1e-12
         )
 
@@ -99,27 +99,27 @@ class TestBucketBleu:
         srcs = [[4, 5], [6, 7], [4, 5, 6, 7], [8, 9, 10, 11]]
         refs = [[5, 4], [6, 7], [7, 6, 5, 4], [8, 9, 10, 11]]
         hyps = [[5, 4], [7, 6], [7, 6, 5, 4], [11, 10, 9, 8]]
-        table = bucket_bleu(hyps, refs, srcs, bucket_edges=((1, 3), (4, 6)),
+        rows = bucket_bleu(hyps, refs, srcs, bucket_edges=((1, 3), (4, 6)),
                             smooth=True)
         short = corpus_bleu(hyps[:2], refs[:2], smooth=True).bleu
         long = corpus_bleu(hyps[2:], refs[2:], smooth=True).bleu
-        assert table.rows[0].bleu == pytest.approx(short, abs=1e-12)
-        assert table.rows[1].bleu == pytest.approx(long, abs=1e-12)
+        assert rows[0].bleu == pytest.approx(short, abs=1e-12)
+        assert rows[1].bleu == pytest.approx(long, abs=1e-12)
 
     def test_counts_sum_to_test_set(self):
         rng = rng_for(3, "bucket-count")
         srcs = [[int(x) for x in rng.integers(4, 12, size=int(rng.integers(3, 13)))]
                 for _ in range(40)]
         hyps = [list(s) for s in srcs]
-        table = bucket_bleu(hyps, hyps, srcs)
-        assert table.total_count == 40
-        assert len(table.rows) == len(DESK_BUCKET_EDGES)
+        rows = bucket_bleu(hyps, hyps, srcs)
+        assert sum(r.count for r in rows) == 40
+        assert len(rows) == len(DESK_BUCKET_EDGES)
 
     def test_empty_bucket_row(self):
         srcs, hyps = [[4, 5, 6]], [[4, 5, 6]]
-        table = bucket_bleu(hyps, hyps, srcs, bucket_edges=((1, 5), (6, 9)))
-        assert table.rows[1].count == 0
-        assert table.rows[1].bleu is None
+        rows = bucket_bleu(hyps, hyps, srcs, bucket_edges=((1, 5), (6, 9)))
+        assert rows[1].count == 0
+        assert rows[1].bleu is None
 
     def test_bad_edges_rejected(self):
         srcs, hyps = [[4, 5]], [[4, 5]]
@@ -160,27 +160,26 @@ def pieces():
 class TestBSweep:
     def test_cells_reuse_decode_outputs(self, pieces):
         teacher, students, pairs = pieces
-        report = b_sweep(students, teacher, pairs, B_values=(0, 2), C=0, smooth=True)
-        assert report["B_values"] == [0, 2]
         srcs = [s for s, _ in pairs]
         refs = [t for _, t in pairs]
-        for name, student in students.items():
+        for student in students.values():
+            cells, _ = b_sweep(student, teacher, pairs, B_values=(0, 2), C=0, smooth=True)
+            assert list(cells) == [0, 2]
             for B in (0, 2):
                 hyps = length_parallel_decode_corpus(
                     student, teacher, srcs, LengthPolicy(C=0, B=B)
                 )
                 want = corpus_bleu(hyps, refs, smooth=True).bleu
-                assert report["cells"][name][B] == pytest.approx(want, abs=1e-12)
+                assert cells[B] == pytest.approx(want, abs=1e-12)
 
     def test_gold_row_uses_true_lengths(self, pieces):
         teacher, students, pairs = pieces
-        report = b_sweep(students, teacher, pairs, B_values=(0,), C=0, smooth=True)
-        srcs = [s for s, _ in pairs]
         refs = [t for _, t in pairs]
-        for name, student in students.items():
+        for student in students.values():
+            _, gold = b_sweep(student, teacher, pairs, B_values=(0,), C=0, smooth=True)
             hyps = [student.nar_greedy_emit_batch([s], len(t))[0] for s, t in pairs]
             want = corpus_bleu(hyps, refs, smooth=True).bleu
-            assert report["gold"][name] == pytest.approx(want, abs=1e-12)
+            assert gold == pytest.approx(want, abs=1e-12)
 
 
 class TestLossGap:

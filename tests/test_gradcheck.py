@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from narlab import tensor as T
-from narlab.gradcheck import grad_check
 from narlab.tensor import Tensor
+
+from gradcheck import grad_check
 
 
 def test_passes_on_correct_gradient():

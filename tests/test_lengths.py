@@ -4,7 +4,7 @@ import pytest
 from narlab import tensor as T
 from narlab.lengths import (
     LengthPolicy,
-    ScoredCandidate,
+    _pick,
     _score_group,
     _usable_lengths,
     candidate_lengths,
@@ -12,7 +12,7 @@ from narlab.lengths import (
     gold_length_decode,
     length_parallel_decode_corpus,
 )
-from narlab.nar import NARTransformer
+from narlab.nar import NARTransformer, soft_copy
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
 from narlab.vocab import BOS_ID, PAD_ID
@@ -111,14 +111,14 @@ class TestDecode:
             assert out == rerank_pick(student, teacher, src, policy)
 
     def test_tie_breaks_prefer_predicted_then_shorter(self):
-        center = 5
-        a = ScoredCandidate(4, [1], -1.0)
-        b = ScoredCandidate(6, [2], -1.0)
-        c = ScoredCandidate(5, [3], -1.0)
-        from narlab.lengths import _rank_key
-
-        ranked = sorted([a, b, c], key=lambda x: _rank_key(x, center), reverse=True)
-        assert [x.length for x in ranked] == [5, 4, 6]
+        # rows are the lengths 4, 5, 6 around the predicted 5; each column
+        # ties some of them
+        scores = np.array([[-1.0, -1.0, -1.0, -2.0, -0.5],
+                           [-1.0, -3.0, -2.0, -3.0, -0.5],
+                           [-1.0, -1.0, -1.0, -2.0, -0.5]])
+        assert _pick([4, 5, 6], 5, scores).tolist() == [1, 0, 0, 0, 1]
+        assert _pick([4, 5, 6], 6, scores).tolist() == [2, 2, 2, 2, 2]
+        assert _pick([4, 5, 6], 3, scores[:, :1]).tolist() == [0]
 
     def test_b_zero_returns_center_emission(self, student, teacher):
         src = [4, 5, 6, 7, 8]
@@ -171,14 +171,15 @@ class TestStackedPass:
             lens = _usable_lengths(student, teacher, len(group[0]), policy)
             seen_windows.add(tuple(lens))
             for mode, pick in (("sum_logprob", 0), ("mean_logprob", 1)):
-                stacked = _score_group(student, teacher, group, lens, mode)
+                rows, table = _score_group(student, teacher, group, lens, mode)
+                G = len(group)
+                assert len(rows) == len(lens) * G and table.shape == (len(lens), G)
                 for k, L in enumerate(lens):
                     emitted = student.nar_greedy_emit_batch(group, L)
                     scores = teacher.sequence_logprob_batch(group, emitted)[pick]
-                    for j, cands in enumerate(stacked):
-                        assert cands[k].length == L
-                        assert cands[k].tokens == emitted[j]
-                        assert abs(cands[k].score - scores[j]) <= 1e-12
+                    for j in range(G):
+                        assert rows[k * G + j] == emitted[j]
+                        assert abs(table[k, j] - scores[j]) <= 1e-12
         assert {(1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (30, 31)} <= seen_windows
 
     @staticmethod
@@ -195,7 +196,7 @@ class TestStackedPass:
         src, row_lens, enc = self._stacked_rows(rng, student, [2, 5, 7])
         pad = np.arange(7)[None, :] >= row_lens[:, None]
         with T.no_grad():
-            dec = student._soft_copy_batch(enc, row_lens)
+            dec = soft_copy(enc, row_lens, student.sigma_sq)
             assert not dec.data[pad].any()  # zero rows after each length
             base = student.nar_logits_batch(src, row_lens, enc_out=enc, dec_in=dec).data
             noisy = dec.data + pad[:, :, None] * rng.standard_normal(dec.shape)

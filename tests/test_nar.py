@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from narlab import tensor as T
-from narlab.gradcheck import grad_check
 from narlab.nar import NARTransformer, soft_copy, soft_copy_weights
 from narlab.tensor import Tensor
 from narlab.transformer import ModelConfig, Transformer, param_schema
+
+from gradcheck import grad_check
 
 
 def nar_config():
@@ -99,7 +100,7 @@ class TestNarForward:
         # must reach earlier output positions
         src = np.array([[4, 5, 6]])
         enc = model.encode_batch(src)
-        dec = model._soft_copy_batch(enc, 5)
+        dec = soft_copy(enc, 5, model.sigma_sq)
         base = T.softmax(model.nar_logits_batch(src, 5, enc_out=enc, dec_in=dec)).data[0]
         bumped = Tensor(dec.data.copy())
         bumped.data[0, 4, 3] += 0.5  # single dim: a uniform shift would sit in LN's null space

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narlab import tensor as T
-from narlab.gradcheck import grad_check
 from narlab.tensor import ShapeError, Tensor
 from narlab.transformer import make_causal_mask
 
 import oracles
+from gradcheck import grad_check
 
 
 def rand(shape, seed, scale=1.0, offset=0.0):
@@ -135,7 +135,7 @@ class TestShapePolicing:
     def test_backward_rejects_nonscalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            (x * x).backward()
+            T.backward(x * x)
 
     def test_linear_shapes(self):
         x, W = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
@@ -162,22 +162,22 @@ class TestShapePolicing:
 class TestBackwardAnalytic:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.sum().backward()
+        T.backward(x.sum())
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_grad(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        (x * x).sum().backward()
+        T.backward((x * x).sum())
         np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0], atol=1e-12)
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor([2.0], requires_grad=True)
-        (x + x).sum().backward()
+        T.backward((x + x).sum())
         np.testing.assert_allclose(x.grad, [2.0])
 
     def test_zero_grad_resets(self):
         x = Tensor([1.0], requires_grad=True)
-        (x * x).sum().backward()
+        T.backward((x * x).sum())
         x.zero_grad()
         assert x.grad is None
 
@@ -190,15 +190,39 @@ class TestBackwardAnalytic:
     def test_constant_inputs_get_no_grad(self):
         x = Tensor([1.0], requires_grad=True)
         c = Tensor([3.0])
-        (x * c).sum().backward()
+        T.backward((x * c).sum())
         assert c.grad is None
 
     def test_diamond_graph(self):
         # y = x*x + x*x: two paths must both contribute
         x = Tensor([3.0], requires_grad=True)
         s = x * x
-        (s + s).sum().backward()
+        T.backward((s + s).sum())
         np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
+
+    def test_transposed_grad_is_stored_in_c_order(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        w = np.arange(6.0).reshape(3, 2)
+        T.backward((T.transpose(x) * Tensor(w)).sum())
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, w.T)
+
+    def test_contiguous_split_grad_is_stored_without_copy(self):
+        a = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
+        b = Tensor(np.zeros((1, 4, 3)), requires_grad=True)
+        w = np.arange(18.0).reshape(1, 6, 3)
+        joined = T.concat([a, b], axis=1)
+        T.backward((joined * Tensor(w)).sum())
+        # both are views of the concatenation's gradient
+        assert all(np.shares_memory(t.grad, joined.grad) for t in (a, b))
+        np.testing.assert_array_equal(a.grad, w[:, :2])
+        np.testing.assert_array_equal(b.grad, w[:, 2:])
+
+    def test_broadcast_grad_is_stored_writeable(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        T.backward(x.sum())
+        assert x.grad.flags.writeable
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 class TestBackwardFiniteDiff:
@@ -341,7 +365,7 @@ def _fused_grads(op, arrays, g, *args):
     the output must not depend on whether the graph is recorded."""
     inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = op(*inputs, *args)
-    (out * Tensor(g)).sum().backward()
+    T.backward((out * Tensor(g)).sum())
     with T.no_grad():
         np.testing.assert_array_equal(op(*map(Tensor, arrays), *args).data, out.data)
     return out.data, [t.grad for t in inputs]

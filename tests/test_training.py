@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from narlab import tensor as T
-from narlab.gradcheck import grad_check
 from narlab.tensor import Tensor
 from narlab.training import (
     Adam,
@@ -22,6 +21,8 @@ from narlab.training import (
 from narlab.nar import NARTransformer
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
+
+from gradcheck import grad_check
 
 
 def tiny_config(**kw):
