@@ -109,9 +109,27 @@ def _half_widths(value: str) -> list:
     return B_values
 
 
-def _length_offset(C, extra) -> int:
-    """C as given, or else the offset stored in the student's checkpoint."""
-    return C if C is not None else int(extra.get("length_offset", 0))
+def _length_offset(C, extra, path, option: str) -> int:
+    """C as given, or else the offset stored in the student checkpoint at
+    ``path``; a CommandError if neither gives one."""
+    if C is None and extra.get("length_offset") is None:
+        raise CommandError(f"{path} stores no length_offset: give C with {option}, "
+                           f"or use a student checkpoint that train-student wrote")
+    return C if C is not None else int(extra["length_offset"])
+
+
+def _check_teacher(meta_path: Path, teacher_path: Path, remedy: str) -> str:
+    """The digest of the checkpoint at ``teacher_path``, once the distill
+    meta.json at ``meta_path`` (if it exists) records that same teacher."""
+    digest = checkpoint_digest(teacher_path)
+    if meta_path.exists():
+        old = json.loads(meta_path.read_text()).get("teacher_digest")
+        if old != digest:
+            raise CommandError(
+                f"distilled corpus in {meta_path.parent} was produced by a different "
+                f"teacher than {teacher_path} (digest {old} != {digest}); {remedy}"
+            )
+    return digest
 
 
 def _load_model(path, flavor: str) -> tuple:
@@ -183,17 +201,9 @@ def cmd_distill(args) -> int:
     _require(teacher_path, "run train-teacher first")
     data_dir = out / "data"
     _require(data_dir / "train.src", "run gen-data first")
-    digest = checkpoint_digest(teacher_path)
     dist_dir = out / "distill"
     meta_path = dist_dir / "meta.json"
-    if meta_path.exists():
-        old = json.loads(meta_path.read_text())
-        if old.get("teacher_digest") != digest:
-            raise CommandError(
-                f"distilled corpus in {dist_dir} was produced by a different "
-                f"teacher (digest {old.get('teacher_digest')} != {digest}); "
-                f"remove the directory to re-distill"
-            )
+    digest = _check_teacher(meta_path, teacher_path, "remove the directory to re-distill")
     teacher, _ = _load_model(teacher_path, AR)
     sources = {}
     for split, name in (("train", "train.src"), ("valid", "valid.src"),
@@ -226,7 +236,9 @@ def cmd_train_student(args) -> int:
                            "inherits the teacher's encoder and embeddings)")
     teacher_path = _require(Path(args.teacher), "run train-teacher first")
     dist_dir = out / "distill"
-    _require(dist_dir / "train.src", "run distill first")
+    meta_path = _require(dist_dir / "meta.json",
+                         "run distill to its end: it writes meta.json last")
+    _check_teacher(meta_path, teacher_path, "pass the teacher that distilled it")
     student = NARTransformer(cfg.model_config(NAR), seed=cfg.train.seed)
     splits = {split: _read_pairs(dist_dir, split, student.config, references=True)
               for split in ("train", "mono", "valid", "test")}
@@ -284,8 +296,9 @@ def cmd_translate(args) -> int:
     if refs is not None:
         hyps = gold_length_decode(student, srcs, refs)
     else:
+        policy = LengthPolicy(C=_length_offset(length.C, s_extra, student_path,
+                                               "-O length.C=<C>"), B=length.B)
         teacher, _ = _load_model(args.teacher if args.teacher else out / "teacher.ckpt", AR)
-        policy = LengthPolicy(C=_length_offset(length.C, s_extra), B=length.B)
         hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
                                              length.rank_mode)
     if length.dedup:
@@ -348,17 +361,18 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.kind == "b-sweep":
-        students = {name: _load_model(_require(Path(p), "student checkpoint"), NAR)
+        students = {name: (p, *_load_model(_require(Path(p), "student checkpoint"), NAR))
                     for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
         teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
         data = Path(args.data)
         B_values = _parse_option("--b-values", args.b_values, _half_widths,
                                  "a comma list of nonnegative integers")
         sweeps = {}
-        for name, (student, extra) in students.items():
+        for name, (path, student, extra) in students.items():
             pairs = _read_pairs(data, "test", student.config, references=True)
             sweeps[name] = b_sweep(student, teacher, pairs, B_values,
-                                   _length_offset(args.length_offset, extra),
+                                   _length_offset(args.length_offset, extra, path,
+                                                  "--length-offset"),
                                    rank_mode=args.rank_mode, smooth=args.smooth)
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -39,13 +39,11 @@ def write_pairs(directory, name: str, pairs) -> None:
 
 
 def read_pairs(directory, name: str) -> list:
-    directory = Path(directory)
-    srcs = read_sentences(directory / f"{name}.src")
-    tgts = read_sentences(directory / f"{name}.tgt")
+    src_path, tgt_path = (Path(directory) / f"{name}.{ext}" for ext in ("src", "tgt"))
+    srcs, tgts = read_sentences(src_path), read_sentences(tgt_path)
     if len(srcs) != len(tgts):
-        raise ValueError(
-            f"{name}: source/target line counts differ ({len(srcs)} vs {len(tgts)})"
-        )
+        raise ValueError(f"line counts differ: {src_path} has {len(srcs)}, "
+                         f"{tgt_path} has {len(tgts)}")
     return list(zip(srcs, tgts))
 
 

@@ -170,13 +170,16 @@ class LossGapRow:
     gap: float
 
 
-def loss_gap_analysis(runs: dict, required=(0.0, 0.25, 0.5, 1.0)) -> list:
+LOSS_GAP_FRACTIONS = (0.0, 0.25, 0.5, 1.0)  # mono fractions the analysis needs
+
+
+def loss_gap_analysis(runs: dict) -> list:
     """Rows (fraction, train, test, gap) from per-fraction final losses.
 
     ``runs`` maps mono fraction -> {"train_loss": x, "test_loss": y}.
-    Missing required fractions are named in the error.
+    Missing fractions of LOSS_GAP_FRACTIONS are named in the error.
     """
-    missing = [f for f in required if f not in runs]
+    missing = [f for f in LOSS_GAP_FRACTIONS if f not in runs]
     if missing:
         raise ValueError(f"missing runs for mono fractions: {missing}")
     rows = []

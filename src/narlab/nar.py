@@ -9,7 +9,8 @@ re-added per layer).  There is no positional self-attention module; target
 positions get their position information solely from that table, and the
 decoder emits all positions in one parallel pass.
 Candidates of several target lengths can share that pass as right-padded
-rows; a key-padding mask then keeps every position off the padding.
+rows: finite soft-copy rows past each candidate's length, which a
+key-padding mask keeps every position from reading.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor) -> Tensor:
     so the last target position centers on the last source position.
     ``target_len`` may instead be a sequence of K lengths: W is then (K, max
     length, src_len), block k holding the weights for its own length
-    followed by zero rows (right padding).
+    followed by finite rows of the same kernel (right padding, unread).
     """
     lens = np.asarray(target_len)
     if src_len < 1 or lens.min() < 1:
@@ -37,16 +38,14 @@ def soft_copy_weights(src_len: int, target_len, sigma_sq: Tensor) -> Tensor:
     t = np.arange(1, lens.max() + 1, dtype=np.float64)[:, None]
     ratio = (src_len / lens)[..., None, None]
     sq_dist = (i - ratio * t) ** 2
-    w = T.softmax(Tensor(-0.5 * sq_dist) / sigma_sq)
-    if lens.ndim:
-        w = T.masked_fill(w, t <= lens[:, None, None], 0.0)
-    return w
+    return T.softmax(Tensor(-0.5 * sq_dist) / sigma_sq)
 
 
 def soft_copy(enc_out: Tensor, target_len, sigma_sq: Tensor) -> Tensor:
     """Soft-copy encoded sources (..., T, d) to (..., target_len, d); one
     weight matrix serves a whole rectangular batch.  With one target length
-    per row of ``enc_out`` the rows come out right-padded with zeros."""
+    per row of ``enc_out`` the rows come out right-padded with finite
+    soft-copy rows, which the decoder's key-padding mask keeps unread."""
     w = soft_copy_weights(enc_out.shape[-2], target_len, sigma_sq)
     return T.matmul(w, enc_out)
 
@@ -54,10 +53,7 @@ def soft_copy(enc_out: Tensor, target_len, sigma_sq: Tensor) -> Tensor:
 class NARTransformer(Transformer):
     """Non-autoregressive flavor; shares the AR encoder and param naming."""
 
-    def __init__(self, config, params=None, seed: int = 0):
-        if config.flavor != NAR:
-            raise ValueError(f"NARTransformer needs flavor NAR, got {config.flavor}")
-        super().__init__(config, params, seed)
+    flavor = NAR
 
     @property
     def sigma_sq(self) -> Tensor:

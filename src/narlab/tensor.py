@@ -95,8 +95,8 @@ class Tensor:
         return divide(self, _wrap(other))
 
     # -- method sugar --------------------------------------------------
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis=axis)
 
 
 def _wrap(x) -> Tensor:
@@ -311,36 +311,25 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
-    axes = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-    return _make(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
+def transpose(x: Tensor) -> Tensor:
+    """The axes reversed: for a 2-d tensor, its transpose."""
+    return _make(x.data.T, (x,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, x.ndim)
+def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over one axis, or over all of them when ``axis`` is None."""
     shape = x.shape
 
     def back(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).astype(np.float64, copy=False),)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), back)
+    return _make(x.data.sum(axis=axis), (x,), back)
 
 
 # ---------------------------------------------------------------------
@@ -376,7 +365,7 @@ def log_softmax(x: Tensor) -> Tensor:
 LN_EPS = 1e-12
 
 
-def affine_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+def affine_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     ``gain`` and shift by ``bias`` (both of the last axis' size)."""
     if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
@@ -387,7 +376,7 @@ def affine_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     gd = gain.data
     if not _recording((x, gain, bias)):
@@ -409,29 +398,10 @@ def affine_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS
 
 
 # ---------------------------------------------------------------------
-# masking / gather
+# attention / gather
 # ---------------------------------------------------------------------
 
 MASK_FILL = -1e30
-
-
-def masked_fill(x: Tensor, allowed: np.ndarray, fill: float = MASK_FILL) -> Tensor:
-    """Replace entries where ``allowed`` is False with ``fill`` (pre-softmax mask).
-
-    ``allowed`` is a constant boolean array broadcastable to ``x.shape``;
-    gradients flow only through allowed positions.
-    """
-    keep = _broadcast_mask(allowed, x.shape)
-    return _make(np.where(keep, x.data, fill), (x,), lambda g: (g * keep,))
-
-
-def _broadcast_mask(allowed, shape) -> np.ndarray:
-    try:
-        return np.broadcast_to(np.asarray(allowed, dtype=bool), shape)
-    except ValueError as err:
-        raise ShapeError(
-            f"mask of shape {np.shape(allowed)} does not broadcast to {shape}"
-        ) from err
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -457,8 +427,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
     # the scores become the softmax in place, so no transient outlives its step
     p = np.matmul(q4, kT)
     p *= scale
-    keep = None if allowed is None else _broadcast_mask(allowed, p.shape)
-    if keep is not None:
+    keep = None
+    if allowed is not None:
+        try:
+            keep = np.broadcast_to(np.asarray(allowed, dtype=bool), p.shape)
+        except ValueError as err:
+            raise ShapeError(f"mask of shape {np.shape(allowed)} does not "
+                             f"broadcast to {p.shape}") from err
         np.copyto(p, MASK_FILL, where=~keep)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .transformer import NAR
+from .transformer import NAR, _teacher_forced_rows
 from .util import group_positions, rng_for
-from .vocab import BOS_ID, EOS_ID
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,10 +82,10 @@ def smoothed_ce_from_logits(logits: Tensor, targets: np.ndarray, eps: float) -> 
 class Adam:
     """Adam with the base-transformer conventions: beta2 = 0.98, eps = 1e-9."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-9):
+    BETA1, BETA2, EPS = 0.9, 0.98, 1e-9
+
+    def __init__(self, params: dict):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -97,8 +96,8 @@ class Adam:
 
     def step(self, lr: float):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         # m and v are updated in place, each ufunc in the order of
         # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
         # p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)
@@ -106,14 +105,14 @@ class Adam:
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            gg = (1.0 - self.beta2) * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            gg = (1.0 - self.BETA2) * g
             gg *= g
             v += gg
             denom = np.sqrt(v / bc2)
-            denom += self.eps
+            denom += self.EPS
             update = m / bc1
             update /= denom
             update *= lr
@@ -151,19 +150,19 @@ def batch_loss(model, src_arr: np.ndarray, tgt_arr: np.ndarray, eps: float) -> t
         logits = model.nar_logits_batch(src_arr, tgt_arr.shape[1])
         targets = tgt_arr
     else:
-        B = src_arr.shape[0]
-        bos = np.full((B, 1), BOS_ID, dtype=np.int64)
-        eos = np.full((B, 1), EOS_ID, dtype=np.int64)
-        logits = model.ar_logits_batch(src_arr, np.concatenate([bos, tgt_arr], axis=1))
-        targets = np.concatenate([tgt_arr, eos], axis=1)
+        tgt_in, targets, _ = _teacher_forced_rows(tgt_arr)
+        logits = model.ar_logits_batch(src_arr, tgt_in)
     return smoothed_ce_from_logits(logits, targets, eps), targets.size
 
 
-def dataset_loss(model, pairs, eps: float, batch_tokens: int = 4096) -> float:
+EVAL_BATCH_TOKENS = 4096  # tokens per batch of a no-grad loss pass
+
+
+def dataset_loss(model, pairs, eps: float) -> float:
     """Token-weighted mean smoothed CE over a dataset (no grads)."""
     total, count = 0.0, 0
     with T.no_grad():
-        for src_arr, tgt_arr in make_batches(pairs, batch_tokens):
+        for src_arr, tgt_arr in make_batches(pairs, EVAL_BATCH_TOKENS):
             loss, n = batch_loss(model, src_arr, tgt_arr, eps)
             total += loss.item() * n
             count += n

@@ -199,9 +199,12 @@ class Transformer:
     """AR encoder-decoder.  Batched internals take (B, L) int64 id arrays
     where every row has the same true length (callers group by length)."""
 
+    flavor = AR  # the config flavor this class runs
+
     def __init__(self, config: ModelConfig, params: dict | None = None, seed: int = 0):
-        if config.flavor != AR and type(self) is Transformer:
-            raise ValueError("use NARTransformer for NAR-flavor configs")
+        if config.flavor != self.flavor:
+            raise ValueError(f"{type(self).__name__} needs flavor {self.flavor}, "
+                             f"got {config.flavor}")
         self.config = config
         self.params = params if params is not None else init_params(config, seed)
         missing = set(param_schema(config)) ^ set(self.params)
@@ -355,18 +358,24 @@ class Transformer:
         mask hides from every scored position.  ``enc_out`` is the encoder
         output of ``srcs``, if already known."""
         src_ids = np.stack([self._check_ids(s, "source") for s in srcs])
-        tgts = [self._check_ids(t, "target") for t in tgts]
-        lengths = np.array([len(t) + 1 for t in tgts])
-        n = lengths.max()
-        tgt_ids = np.full((len(tgts), n), PAD_ID, dtype=np.int64)
-        for row, t in zip(tgt_ids, tgts):
-            row[: len(t) + 1] = [*t, EOS_ID]
-        tgt_in = np.concatenate(
-            [np.full((len(tgts), 1), BOS_ID, dtype=np.int64), tgt_ids[:, : n - 1]], axis=1
-        )
+        tgt_in, tgt_out, lengths = _teacher_forced_rows(
+            [self._check_ids(t, "target") for t in tgts])
         with T.no_grad():
             logits = self.ar_logits_batch(src_ids, tgt_in, enc_out=enc_out)
             logp = T.log_softmax(logits).data
-        rows = np.take_along_axis(logp, tgt_ids[:, :, None], axis=2)[:, :, 0]
-        totals = np.where(np.arange(n) < lengths[:, None], rows, 0.0).sum(axis=1)
+        rows = np.take_along_axis(logp, tgt_out[:, :, None], axis=2)[:, :, 0]
+        totals = np.where(np.arange(tgt_out.shape[1]) < lengths[:, None], rows, 0.0).sum(axis=1)
         return totals, totals / lengths
+
+
+def _teacher_forced_rows(tgts) -> tuple:
+    """(inputs, outputs, lengths) of the teacher-forced rows [BOS] + tgt ->
+    tgt + [EOS] of the target sequences ``tgts``, each row L + 1 positions
+    long and right-padded with PAD_ID to the longest."""
+    lengths = np.array([len(t) + 1 for t in tgts])
+    out = np.full((len(tgts), lengths.max()), PAD_ID, dtype=np.int64)
+    for row, t in zip(out, tgts):
+        row[: len(t)] = t
+    out[np.arange(len(tgts)), lengths - 1] = EOS_ID
+    bos = np.full((len(tgts), 1), BOS_ID, dtype=np.int64)
+    return np.concatenate([bos, out[:, :-1]], axis=1), out, lengths

@@ -353,7 +353,7 @@ def _bad_data(command, fname, text, lineno):
     """A train-teacher, distill, train-student or ``analyze b-sweep`` call
     over untrained models and two-line corpora, whose corpus file ``fname``
     (under distill/ for train-student, data/ otherwise) is bad at line
-    ``lineno``."""
+    ``lineno``.  For train-student, distill/meta.json names the teacher."""
     def case(tmp):
         data = tmp / "r" / ("distill" if command == "train-student" else "data")
         data.mkdir(parents=True)
@@ -362,6 +362,9 @@ def _bad_data(command, fname, text, lineno):
             (data / name).write_text("4 5 6\n4 5 6\n")
         (data / fname).write_text(text)
         teacher = str(_tiny_checkpoint(tmp / "teacher.ckpt", "AR"))
+        if command == "train-student":
+            (data / "meta.json").write_text(
+                json.dumps({"teacher_digest": checkpoint_digest(teacher)}))
         if command == "b-sweep":
             student = _tiny_checkpoint(tmp / "student.ckpt")
             argv = ["analyze", "b-sweep", "--student", f"s={student}", "--teacher", teacher,
@@ -372,6 +375,32 @@ def _bad_data(command, fname, text, lineno):
                 argv += ["--teacher", teacher]
         return argv, f"{data / fname}:{lineno}"
     return case
+
+
+def _distill_meta(meta):
+    """A train-student call over a sound two-line distilled corpus whose
+    distill/meta.json holds ``meta``, or is missing if ``meta`` is None."""
+    def case(tmp):
+        argv, _ = _bad_data("train-student", "train.src", "4 5 6\n4 5 6\n", 1)(tmp)
+        path = tmp / "r" / "distill" / "meta.json"
+        if meta is None:
+            path.unlink()
+            return argv, str(path)
+        path.write_text(json.dumps(meta))
+        return argv, str(tmp / "teacher.ckpt")
+    return case
+
+
+def _short_valid_target(tmp):
+    argv, _ = _bad_data("train-teacher", "valid.tgt", "4 5 6\n", 1)(tmp)
+    return argv, f"{tmp / 'r' / 'data' / 'valid.tgt'} has 1"
+
+
+def _student_without_offset(tmp):
+    """A translate call whose sound student checkpoint stores no length_offset."""
+    argv, student = _damaged_student(lambda b: b)(tmp)
+    (tmp / "in.txt").write_text("4 5 6\n4 5\n")
+    return argv + ["--teacher", str(_tiny_checkpoint(tmp / "teacher.ckpt", "AR"))], student
 
 
 def _bad_b_values(value):
@@ -450,16 +479,20 @@ MALFORMED = {
     "gold-lengths line longer than max_len": _bad_input("4 5 6\n4 5\n", 2,
                                                         gold="4 5 6\n" + "5 " * 65 + "\n"),
     "translate -O length.B negative": _negative_half_width,
+    "translate student stores no length_offset": _student_without_offset,
     "train-teacher source id past vocabulary": _bad_data("train-teacher", "train.src",
                                                          "4 5 6\n4 99 6\n", 2),
     "train-teacher target line empty": _bad_data("train-teacher", "train.tgt", "4 5 6\n\n", 2),
     # the teacher reads BOS + target, so a target of max_len (32) tokens is too long
     "train-teacher target as long as max_len": _bad_data("train-teacher", "train.tgt",
                                                          "4 5 6\n" + "5 " * 32 + "\n", 2),
+    "train-teacher valid.tgt one line short": _short_valid_target,
     "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
     "train-student source id past vocabulary": _bad_data("train-student", "mono.src",
                                                          "4 5 6\n4 99 6\n", 2),
     "train-student target line empty": _bad_data("train-student", "train.tgt", "4 5 6\n\n", 2),
+    "train-student teacher differs from distill's": _distill_meta({"teacher_digest": "beef"}),
+    "train-student distill wrote no meta.json": _distill_meta(None),
     "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
     "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
     "b-sweep reference longer than max_len": _bad_data("b-sweep", "test.tgt",

@@ -197,7 +197,6 @@ class TestStackedPass:
         pad = np.arange(7)[None, :] >= row_lens[:, None]
         with T.no_grad():
             dec = soft_copy(enc, row_lens, student.sigma_sq)
-            assert not dec.data[pad].any()  # zero rows after each length
             base = student.nar_logits_batch(src, row_lens, enc_out=enc, dec_in=dec).data
             noisy = dec.data + pad[:, :, None] * rng.standard_normal(dec.shape)
             pert = student.nar_logits_batch(src, row_lens, enc_out=enc,
