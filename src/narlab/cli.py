@@ -123,7 +123,10 @@ def _check_teacher(meta_path: Path, teacher_path: Path, remedy: str) -> str:
     meta.json at ``meta_path`` (if it exists) records that same teacher."""
     digest = checkpoint_digest(teacher_path)
     if meta_path.exists():
-        old = json.loads(meta_path.read_text()).get("teacher_digest")
+        try:
+            old = json.loads(meta_path.read_text()).get("teacher_digest")
+        except json.JSONDecodeError as exc:
+            raise CommandError(f"{meta_path} is not valid JSON ({exc})") from None
         if old != digest:
             raise CommandError(
                 f"distilled corpus in {meta_path.parent} was produced by a different "
@@ -298,7 +301,9 @@ def cmd_translate(args) -> int:
     else:
         policy = LengthPolicy(C=_length_offset(length.C, s_extra, student_path,
                                                "-O length.C=<C>"), B=length.B)
-        teacher, _ = _load_model(args.teacher if args.teacher else out / "teacher.ckpt", AR)
+        teacher_path = Path(args.teacher) if args.teacher else out / "teacher.ckpt"
+        teacher, _ = _load_model(_require(teacher_path, "the reranking teacher: run "
+                                          "train-teacher or pass --teacher"), AR)
         hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
                                              length.rank_mode)
     if length.dedup:

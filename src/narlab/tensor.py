@@ -13,7 +13,10 @@ and bias) and ``attention_core`` (split heads, scaled scores, mask,
 softmax, context, merged heads).  Each runs the numpy calls of the
 primitive chain it replaces, in the same order, forward and backward, so
 its results have the same bits; it only saves the dispatch and the
-intermediate tensors the chain would record.
+intermediate tensors the chain would record.  One exception: ``linear``
+over rows of one position, as in a cached decode step, runs one 2-D GEMM
+instead of a gemv per row, and its forward product then differs from the
+broadcasting matmul's by at most 1e-12 relative.
 
 Broadcasting for elementwise ops is deliberately narrow: equal shapes,
 scalar against anything, or one shape being a trailing suffix of the
@@ -272,7 +275,12 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs (..., d), (d, d') and (d',), got "
                          f"{x.shape}, {W.shape} and {b.shape}")
     xd, wd = x.data, W.data
-    out = np.matmul(xd, wd)
+    if x.ndim > 2 and x.shape[-2] == 1:
+        # one position per row: one (rows, d) GEMM, where the broadcasting
+        # matmul would make one gemv call per row
+        out = (xd.reshape(-1, wd.shape[0]) @ wd).reshape(x.shape[:-1] + wd.shape[1:])
+    else:
+        out = np.matmul(xd, wd)
     out += b.data
 
     def back(g):

@@ -54,8 +54,13 @@ def _sum_leading(g, ndim):
 
 def linear_chain(x, W, b, g):
     """``matmul(x, W)`` then ``+ b``: (out, (gx, gW, gb)) for the output
-    gradient ``g``."""
-    out = np.matmul(x, W) + b
+    gradient ``g``.  Rows of one position (x of shape (..., 1, d)) are
+    defined as one flattened (rows, d) @ (d, d') product, the GEMM that
+    ``tensor.linear`` runs for a cached decode step."""
+    if x.ndim > 2 and x.shape[-2] == 1:
+        out = (x.reshape(-1, x.shape[-1]) @ W).reshape(x.shape[:-1] + W.shape[1:]) + b
+    else:
+        out = np.matmul(x, W) + b
     gx = np.matmul(g, W.swapaxes(-1, -2))
     gW = _sum_leading(np.matmul(x.swapaxes(-1, -2), g), 2)
     return out, (gx, gW, _sum_leading(g, 1))

@@ -379,16 +379,29 @@ def _bad_data(command, fname, text, lineno):
 
 def _distill_meta(meta):
     """A train-student call over a sound two-line distilled corpus whose
-    distill/meta.json holds ``meta``, or is missing if ``meta`` is None."""
+    distill/meta.json holds ``meta``, the text ``meta`` if it is a str, or
+    is missing if ``meta`` is None."""
     def case(tmp):
         argv, _ = _bad_data("train-student", "train.src", "4 5 6\n4 5 6\n", 1)(tmp)
         path = tmp / "r" / "distill" / "meta.json"
         if meta is None:
             path.unlink()
             return argv, str(path)
+        if isinstance(meta, str):
+            path.write_text(meta)
+            return argv, f"{path} is not valid JSON"
         path.write_text(json.dumps(meta))
         return argv, str(tmp / "teacher.ckpt")
     return case
+
+
+def _missing_rerank_teacher(tmp):
+    """A translate call with a sound student and input, C given, whose
+    reranking --teacher does not exist."""
+    argv, _ = _damaged_student(lambda b: b)(tmp)
+    (tmp / "in.txt").write_text("4 5 6\n4 5\n")
+    teacher = tmp / "missing.ckpt"
+    return argv + ["-O", "length.C=0", "--teacher", str(teacher)], f"missing input {teacher}"
 
 
 def _short_valid_target(tmp):
@@ -480,6 +493,7 @@ MALFORMED = {
                                                         gold="4 5 6\n" + "5 " * 65 + "\n"),
     "translate -O length.B negative": _negative_half_width,
     "translate student stores no length_offset": _student_without_offset,
+    "translate reranking teacher missing": _missing_rerank_teacher,
     "train-teacher source id past vocabulary": _bad_data("train-teacher", "train.src",
                                                          "4 5 6\n4 99 6\n", 2),
     "train-teacher target line empty": _bad_data("train-teacher", "train.tgt", "4 5 6\n\n", 2),
@@ -493,6 +507,7 @@ MALFORMED = {
     "train-student target line empty": _bad_data("train-student", "train.tgt", "4 5 6\n\n", 2),
     "train-student teacher differs from distill's": _distill_meta({"teacher_digest": "beef"}),
     "train-student distill wrote no meta.json": _distill_meta(None),
+    "train-student meta.json not json": _distill_meta("{\n"),
     "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
     "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
     "b-sweep reference longer than max_len": _bad_data("b-sweep", "test.tgt",

@@ -359,6 +359,8 @@ class TestFusedOpsMatchChains:
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
 
+    # (3, 7, 16) pins numpy's broadcasting matmul for rows longer than one
+    # position; (2, 1, 16) checks the flattened one-position product
     @pytest.mark.parametrize("x_shape", [(5, 16), (3, 7, 16), (2, 1, 16)])
     def test_linear(self, x_shape):
         rng = np.random.default_rng(40)
@@ -387,6 +389,22 @@ class TestFusedOpsMatchChains:
         g = rng.standard_normal((B, Lq, 16))
         self.assert_same(_fused_grads(T.attention_core, [q, k, v], g, 4, allowed),
                          oracles.attention_chain(q, k, v, 4, allowed, g))
+
+
+@pytest.mark.parametrize("x_shape, d_out", [((200, 1, 64), 256), ((200, 1, 256), 64),
+                                            ((1, 1, 64), 64)])
+def test_linear_one_position_near_broadcasting_matmul(x_shape, d_out):
+    """Over rows of one position ``linear`` runs one GEMM, not numpy's
+    broadcasting matmul (a gemv per row); the two stay within 1e-12
+    relative of each other."""
+    rng = np.random.default_rng(43)
+    x, W = rng.standard_normal(x_shape), rng.standard_normal((x_shape[-1], d_out))
+    b = rng.standard_normal(d_out)
+    with T.no_grad():
+        got = T.linear(Tensor(x), Tensor(W), Tensor(b)).data
+    want = np.matmul(x, W) + b
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_every_op_has_a_finite_difference_test():

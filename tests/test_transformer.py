@@ -171,6 +171,18 @@ class TestGreedyDecode:
         singles = [model.greedy_decode_batch([s])[0] for s in srcs]
         assert batched == singles
 
+    def test_large_group_matches_each_source_alone(self):
+        # 32 same-length sources decode as one group: every cached step
+        # projects its live (B, 1, d) rows with one GEMM per weight, and
+        # the group shrinks as rows end at different steps
+        m = Transformer(ModelConfig(vocab_size=36), seed=4)  # desk-size shapes
+        m.params["embedding"].data[EOS_ID] *= 3.0  # the (tied) EOS logit
+        rng = np.random.default_rng(1)
+        srcs = [[int(t) for t in rng.integers(4, 36, size=6)] for _ in range(32)]
+        batched = m.greedy_decode_batch(srcs)
+        assert len({len(o) for o in batched}) >= 5
+        assert batched == [m.greedy_decode_batch([s])[0] for s in srcs]
+
     def test_no_eos_in_output(self, model):
         (out,) = model.greedy_decode_batch([[4, 5, 6, 7]])
         assert EOS_ID not in out
