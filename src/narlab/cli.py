@@ -17,14 +17,14 @@ from pathlib import Path
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import RunConfig, RunLock, load_config, default_config, run_dir, write_resolved
 from .corpora import read_pairs, read_sentences, write_json, write_pairs, write_sentences
-from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus, mix_monolingual
+from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus
 from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
                        corpus_bleu, loss_gap_analysis)
-from .lengths import (RANK_MODES, LengthPolicy, estimate_C, gold_length_decode,
+from .lengths import (RANK_MODES, LengthPolicy, gold_length_decode,
                       length_parallel_decode_corpus)
 from .nar import NARTransformer
 from .tasks import generate_corpus, generate_monolingual
-from .training import dataset_loss, init_student_from_teacher, train
+from .training import dataset_loss, train, train_student
 from .transformer import AR, NAR, Transformer
 from .vocab import N_RESERVED
 
@@ -242,23 +242,21 @@ def cmd_train_student(args) -> int:
     meta_path = _require(dist_dir / "meta.json",
                          "run distill to its end: it writes meta.json last")
     _check_teacher(meta_path, teacher_path, "pass the teacher that distilled it")
-    student = NARTransformer(cfg.model_config(NAR), seed=cfg.train.seed)
-    splits = {split: _read_pairs(dist_dir, split, student.config, references=True)
+    config = cfg.model_config(NAR)
+    splits = {split: _read_pairs(dist_dir, split, config, references=True)
               for split in ("train", "mono", "valid", "test")}
+    teacher, _ = _load_model(teacher_path, AR)
+    differs = [k for k, v in asdict(teacher.config.as_nar()).items() if getattr(config, k) != v]
+    if differs:
+        raise CommandError(f"{teacher_path} holds a model with {differs[0]} "
+                           f"{getattr(teacher.config, differs[0])}, but the run config "
+                           f"gives {differs[0]} {getattr(config, differs[0])}")
     with RunLock(out):
         write_resolved(cfg, out)
-        teacher, _ = _load_model(teacher_path, AR)
-        mixed = mix_monolingual(splits["train"], splits["mono"], cfg.distill.mono_fraction,
-                                cfg.distill.mix_seed)
-        if student.config.vocab_size != teacher.config.vocab_size:
-            raise CommandError(
-                f"teacher vocab {teacher.config.vocab_size} does not match "
-                f"configured task vocab {student.config.vocab_size}"
-            )
-        init_student_from_teacher(teacher.params, student.params)
-        records = train(student, mixed, cfg.train, splits["valid"],
-                        curves_path=out / "student_curves.jsonl", log=print)
-        C_hat = estimate_C(mixed)
+        student, records, C_hat, train_loss = train_student(
+            teacher, splits["train"], splits["mono"], cfg.distill.mono_fraction,
+            cfg.distill.mix_seed, cfg.train, splits["valid"],
+            curves_path=out / "student_curves.jsonl", log=print)
         save_checkpoint(out / "student.ckpt", student.config, student.params, {
             "role": "student",
             "task": asdict(cfg.task),
@@ -269,7 +267,7 @@ def cmd_train_student(args) -> int:
             "final_valid_loss": records[-1].valid_loss,
         })
         eval_report = {
-            "train_loss": records[-1].train_loss,
+            "train_loss": train_loss,
             "valid_loss": records[-1].valid_loss,
             "test_loss": dataset_loss(student, splits["test"],
                                       cfg.train.label_smoothing),

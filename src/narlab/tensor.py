@@ -150,7 +150,8 @@ def backward(loss: Tensor) -> None:
                 if inp.requires_grad and id(inp) not in visited:
                     stack.append((inp, False))
 
-    loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
+    # arithmetic on 0-d arrays returns numpy scalars: keep every grad an ndarray
+    loss.grad = np.asarray(1.0 if loss.grad is None else loss.grad + 1.0)
     for t in reversed(topo):
         if t.node is None or t.grad is None:
             continue
@@ -165,9 +166,10 @@ def backward(loss: Tensor) -> None:
                 # a broadcast view is read-only and a transposed one is not in
                 # C order, which would change the summation order of later
                 # reductions: store a C-ordered buffer that may be written
-                inp.grad = g if (g.flags.writeable and g.flags.c_contiguous) else g.copy()
+                inp.grad = (g if g.flags.writeable and g.flags.c_contiguous
+                            else np.array(g, order="C"))
             else:
-                inp.grad = inp.grad + g
+                inp.grad = np.asarray(inp.grad + g)
 
 
 # ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared optimization loop for the AR teacher and NAR student.
 
 Label-smoothed cross-entropy, Adam with the inverse-sqrt warm-up schedule,
-validation-loss early stopping, last-k checkpoint averaging, and the
-teacher-to-student encoder/embedding initialization.
+validation-loss early stopping, last-k checkpoint averaging, and
+``train_student``, the one path from a teacher and its distilled corpora to a student.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .distill import mix_monolingual
+from .lengths import estimate_C
+from .nar import NARTransformer
 from .tensor import Tensor
 from .transformer import NAR, _teacher_forced_rows
 from .util import group_positions, rng_for
@@ -116,7 +119,7 @@ class Adam:
             update = m / bc1
             update /= denom
             update *= lr
-            p.data = p.data - update
+            p.data = np.asarray(p.data - update)  # a 0-d parameter stays an array
 
 
 # ---------------------------------------------------------------------
@@ -181,7 +184,7 @@ def average_checkpoints(snapshots: list) -> dict:
     if any(set(s) != names for s in snapshots):
         raise ValueError("checkpoint parameter sets differ")
     return {
-        name: sum(s[name] for s in snapshots) / len(snapshots) for name in names
+        name: np.asarray(sum(s[name] for s in snapshots) / len(snapshots)) for name in names
     }
 
 
@@ -269,3 +272,16 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
             for rec in records:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
     return records
+
+
+def train_student(teacher, parallel, mono, fraction: float, mix_seed: int,
+                  config: TrainConfig, validation, curves_path=None, log=None) -> tuple:
+    """A NAR student of ``teacher``'s config, initialized from it, trained on
+    ``mix_monolingual(parallel, mono, fraction, mix_seed)``; returns (student,
+    epoch records, C of the mixed corpus, the trained student's loss on it)."""
+    mixed = mix_monolingual(parallel, mono, fraction, mix_seed)
+    student = NARTransformer(teacher.config.as_nar(), seed=config.seed)
+    init_student_from_teacher(teacher.params, student.params)
+    records = train(student, mixed, config, validation, curves_path=curves_path, log=log)
+    return (student, records, estimate_C(mixed),
+            dataset_loss(student, mixed, config.label_smoothing))

@@ -2,11 +2,11 @@
 accountable for, each printing one verdict line.
 
 Unlike the unit suites this file trains real (small) models, so it
-dominates the suite's runtime.  All seeds are pinned; every number here
+dominates the suite's runtime.  Students train through the CLI's path,
+``training.train_student``.  All seeds are pinned; every number here
 is reproducible to the byte.
 """
 
-import json
 import time
 
 import numpy as np
@@ -19,14 +19,12 @@ from narlab.distill import (
     PARALLEL,
     dedup_adjacent,
     distill_corpus,
-    mix_monolingual,
     strip_origin,
 )
 from narlab.evaluate import b_sweep, bucket_bleu, corpus_bleu, loss_gap_analysis
 from narlab.lengths import (
     LengthPolicy,
     candidate_lengths,
-    estimate_C,
     gold_length_decode,
     length_parallel_decode_corpus,
 )
@@ -36,15 +34,16 @@ from narlab.training import (
     TrainConfig,
     batch_loss,
     dataset_loss,
-    init_student_from_teacher,
     lr_schedule,
     smoothed_ce_from_logits,
     train,
+    train_student,
 )
 from narlab.transformer import ModelConfig, Transformer
 from narlab.util import rng_for
 from gradcheck import grad_check
 from oracles import rerank_pick
+from tiny_pipeline import commands, opts, tree_bytes
 
 REPORT_LINES = []
 
@@ -112,33 +111,28 @@ def desk_teacher(reversal_corpus):
     return {"model": model, "wall": wall, "epochs": len(records), "acc": acc}
 
 
+def distilled(teacher, sources, origin=PARALLEL) -> list:
+    """The teacher's (src, tgt) training pairs for ``sources``."""
+    return strip_origin(distill_corpus(teacher, sources, origin)[0])
+
+
 @pytest.fixture(scope="session")
 def reversal_family(reversal_corpus, desk_teacher):
     """Distilled subset + one student per monolingual fraction."""
     _, splits, mono = reversal_corpus
     teacher = desk_teacher["model"]
-    par, _ = distill_corpus(teacher, [s for s, _ in splits["train"][:N_TRAIN_SUB]],
-                            PARALLEL)
-    mono_triples, _ = distill_corpus(teacher, mono[:N_MONO_SUB], MONOLINGUAL)
-    dist_valid_t, _ = distill_corpus(teacher, [s for s, _ in splits["valid"]],
-                                     PARALLEL)
-    dist_test_t, _ = distill_corpus(teacher, [s for s, _ in splits["test"]],
-                                    PARALLEL)
-    dist_valid = [(s, t) for s, t, _ in dist_valid_t]
-    dist_test = [(s, t) for s, t, _ in dist_test_t]
+    par = distilled(teacher, [s for s, _ in splits["train"][:N_TRAIN_SUB]])
+    mono_pairs = distilled(teacher, mono[:N_MONO_SUB], MONOLINGUAL)
+    dist_valid, dist_test = (distilled(teacher, [s for s, _ in splits[split]])
+                             for split in ("valid", "test"))
     family = {}
     for f in FRACTIONS:
-        mixed = strip_origin(mix_monolingual(par, mono_triples, f,
-                                             mix_seed=0))
-        student = NARTransformer(teacher.config.as_nar(), seed=STUDENT_TRAIN.seed)
-        init_student_from_teacher(teacher.params, student.params)
-        train(student, mixed, STUDENT_TRAIN, dist_valid)
-        eps = STUDENT_TRAIN.label_smoothing
+        student, _, _, train_loss = train_student(teacher, par, mono_pairs, f, 0,
+                                                  STUDENT_TRAIN, dist_valid)
         family[f] = {
             "student": student,
-            "C": estimate_C(mixed),
-            "train_loss": dataset_loss(student, mixed, eps),
-            "test_loss": dataset_loss(student, dist_test, eps),
+            "train_loss": train_loss,
+            "test_loss": dataset_loss(student, dist_test, STUDENT_TRAIN.label_smoothing),
         }
     return {"teacher": teacher, "students": family, "dist_test": dist_test}
 
@@ -152,24 +146,14 @@ def duplication_family():
     teacher = Transformer(ModelConfig(vocab_size=spec.vocab.size),
                           seed=DESK_TRAIN.seed)
     train(teacher, splits["train"], DESK_TRAIN, splits["valid"])
-    par, _ = distill_corpus(teacher, [s for s, _ in splits["train"]], PARALLEL)
-    mono_triples, _ = distill_corpus(teacher, mono, MONOLINGUAL)
-    dist_valid_t, _ = distill_corpus(teacher, [s for s, _ in splits["valid"]],
-                                     PARALLEL)
-    dist_valid = [(s, t) for s, t, _ in dist_valid_t]
+    par = distilled(teacher, [s for s, _ in splits["train"]])
+    mono_pairs = distilled(teacher, mono, MONOLINGUAL)
+    dist_valid = distilled(teacher, [s for s, _ in splits["valid"]])
     students = {}
-    C = None
-    for f in (0.0, 1.0):
-        mixed = strip_origin(mix_monolingual(par, mono_triples, f, mix_seed=0))
-        student = NARTransformer(teacher.config.as_nar(),
-                                 seed=DUP_STUDENT_TRAIN.seed)
-        init_student_from_teacher(teacher.params, student.params)
-        train(student, mixed, DUP_STUDENT_TRAIN, dist_valid)
-        students[f] = student
-        if f == 1.0:
-            C = estimate_C(mixed)
-    return {"teacher": teacher, "students": students, "C": C,
-            "test": splits["test"]}
+    for f in (0.0, 1.0):  # C is left at the f1.0 corpus's
+        students[f], _, C, _ = train_student(teacher, par, mono_pairs, f, 0,
+                                             DUP_STUDENT_TRAIN, dist_valid)
+    return {"teacher": teacher, "students": students, "C": C, "test": splits["test"]}
 
 
 # ---------------------------------------------------------------------
@@ -332,53 +316,18 @@ def test_criterion_8_schedule_and_loss_constants():
             f"lr {lr_peak:.6g}/{lr_4w:.6g}, ce {ce:.5f}")
 
 
-TINY_PIPELINE = [
-    "task.n_content=8", "task.min_len=3", "task.max_len=6",
-    "model.num_layers=1", "model.num_heads=2", "model.model_dim=16",
-    "model.hidden_dim=32", "model.max_len=32",
-    "train.max_epochs=2", "train.batch_tokens=512", "train.warmup_steps=50",
-    "train.average_last_k=2",
-    "data.n_pairs=200", "data.mono_ratio=1.0",
-    "output_dir=run",
-]
-
-
 def _run_tiny_pipeline(root, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
-    o = []
-    for v in TINY_PIPELINE:
-        o += ["-O", v]
     out = root / "run"
-    assert main(["gen-data", *o]) == 0
-    assert main(["train-teacher", *o]) == 0
-    assert main(["distill", *o]) == 0
-    assert main(["train-student", *o, "--teacher", str(out / "teacher.ckpt")]) == 0
-    assert main(["translate", *o, "-i", str(out / "distill" / "test.src"),
-                 "-o", str(out / "hyp.txt"), "-O", "length.B=1"]) == 0
-    return out
-
-
-def _tree_bytes(root):
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if not p.is_file():
-            continue
-        rel = str(p.relative_to(root))
-        data = p.read_bytes()
-        if rel.endswith("_curves.jsonl"):
-            # wall_seconds is honest wall time; mask it, compare the rest
-            recs = [json.loads(line) for line in data.decode().splitlines()]
-            for r in recs:
-                r["wall_seconds"] = None
-            data = json.dumps(recs).encode()
-        out[rel] = data
+    for argv in commands(out, opts("run")):
+        assert main(argv) == 0
     return out
 
 
 def test_criterion_9_pipeline_determinism(tmp_path, monkeypatch):
     a = _run_tiny_pipeline(tmp_path / "a", monkeypatch)
     b = _run_tiny_pipeline(tmp_path / "b", monkeypatch)
-    ta, tb = _tree_bytes(a), _tree_bytes(b)
+    ta, tb = tree_bytes(a), tree_bytes(b)
     same_names = sorted(ta) == sorted(tb)
     diff = [k for k in ta if same_names and ta[k] != tb[k]]
     verdict(9, "seeded pipeline rerun is byte-identical (timings masked)",

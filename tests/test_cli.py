@@ -7,38 +7,28 @@ invocations.
 """
 
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from narlab.checkpoint import MAGIC, checkpoint_digest, load_checkpoint, save_checkpoint
+from narlab.checkpoint import (MAGIC, checkpoint_digest, load_checkpoint, load_model,
+                               save_checkpoint)
 from narlab.cli import build_parser, main
-from narlab.config import OUTPUT_ROOT_ENV, RunConfig, write_resolved
-from narlab.corpora import read_sentences
+from narlab.config import OUTPUT_ROOT_ENV, RunConfig, load_config, write_resolved
+from narlab.corpora import read_pairs, read_sentences
+from narlab.distill import mix_monolingual
 from narlab.lengths import LengthPolicy, candidate_lengths
 from narlab.nar import NARTransformer
+from narlab.training import dataset_loss
 from narlab.transformer import ModelConfig, init_params
-
-# small enough that the whole pipeline runs in a few seconds
-TINY = [
-    "task.n_content=8", "task.min_len=3", "task.max_len=6",
-    "model.num_layers=1", "model.num_heads=2", "model.model_dim=16",
-    "model.hidden_dim=32", "model.max_len=32",
-    "train.max_epochs=2", "train.batch_tokens=512", "train.warmup_steps=50",
-    "train.average_last_k=2",
-    "data.n_pairs=200", "data.mono_ratio=1.0",
-]
-
-
-def opts(out, extra=()):
-    flat = []
-    for v in [f"output_dir={out}", *TINY, *extra]:
-        flat += ["-O", v]
-    return flat
+from tiny_pipeline import TINY, commands, opts, tree_bytes
 
 
 def run_ok(*argv):
@@ -49,12 +39,8 @@ def run_ok(*argv):
 def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
     o = opts(out)
-    run_ok("gen-data", *o)
-    run_ok("train-teacher", *o)
-    run_ok("distill", *o)
-    run_ok("train-student", *o, "--teacher", str(out / "teacher.ckpt"))
-    run_ok("translate", *o, "-i", str(out / "distill" / "test.src"),
-           "-o", str(out / "hyp.txt"), "-O", "length.B=1")
+    for argv in commands(out, o):
+        run_ok(*argv)
     run_ok("translate", *o, "-i", str(out / "distill" / "test.src"),
            "-o", str(out / "hyp_gold.txt"),
            "--gold-lengths", str(out / "distill" / "test.tgt"))
@@ -119,6 +105,17 @@ class TestPipelineArtifacts:
         report = json.loads((run / "student_eval.json").read_text())
         assert {"train_loss", "valid_loss", "test_loss", "mono_fraction",
                 "epochs"} <= set(report)
+
+    def test_student_eval_train_loss_is_the_saved_students(self, run):
+        # the loss of the saved (last-k averaged) student over its mixed
+        # corpus, as criterion 4 takes it; not the last epoch's running mean
+        cfg = load_config(run / "resolved.yaml")
+        mixed = mix_monolingual(read_pairs(run / "distill", "train"),
+                                read_pairs(run / "distill", "mono"),
+                                cfg.distill.mono_fraction, cfg.distill.mix_seed)
+        report = json.loads((run / "student_eval.json").read_text())
+        assert report["train_loss"] == dataset_loss(load_model(run / "student.ckpt"), mixed,
+                                                    cfg.train.label_smoothing)
 
     def test_translate_line_counts_and_tokens(self, run):
         srcs = read_sentences(run / "distill" / "test.src")
@@ -304,10 +301,10 @@ def _old_snapshot(key, value):
     return case
 
 
-def _tiny_checkpoint(path, flavor="NAR"):
-    """An untrained model of vocabulary 12 and max_len 64, saved at ``path``."""
+def _tiny_checkpoint(path, flavor="NAR", max_len=64):
+    """An untrained model of vocabulary 12 and ``max_len``, saved at ``path``."""
     cfg = ModelConfig(vocab_size=12, num_layers=1, num_heads=2, model_dim=16,
-                      hidden_dim=32, flavor=flavor)
+                      hidden_dim=32, max_len=max_len, flavor=flavor)
     save_checkpoint(path, cfg, init_params(cfg, 0))
     return path
 
@@ -393,6 +390,17 @@ def _distill_meta(meta):
         path.write_text(json.dumps(meta))
         return argv, str(tmp / "teacher.ckpt")
     return case
+
+
+def _teacher_config_differs(tmp):
+    """A train-student call over a sound distilled corpus whose run config
+    asks for 4 heads of a teacher that, like the tiny config, has 2: every
+    parameter shape still matches."""
+    argv, _ = _bad_data("train-student", "train.src", "4 5 6\n4 5 6\n", 1)(tmp)
+    teacher = _tiny_checkpoint(tmp / "teacher.ckpt", "AR", max_len=32)
+    (tmp / "r" / "distill" / "meta.json").write_text(
+        json.dumps({"teacher_digest": checkpoint_digest(teacher)}))
+    return argv + ["-O", "model.num_heads=4"], f"{teacher} holds a model with num_heads 2"
 
 
 def _missing_rerank_teacher(tmp):
@@ -508,6 +516,7 @@ MALFORMED = {
     "train-student teacher differs from distill's": _distill_meta({"teacher_digest": "beef"}),
     "train-student distill wrote no meta.json": _distill_meta(None),
     "train-student meta.json not json": _distill_meta("{\n"),
+    "train-student run config differs from the teacher's": _teacher_config_differs,
     "b-sweep source holds BOS": _bad_data("b-sweep", "test.src", "4 5 6\n7 1 6\n", 2),
     "b-sweep reference line empty": _bad_data("b-sweep", "test.tgt", "4 5 6\n\n", 2),
     "b-sweep reference longer than max_len": _bad_data("b-sweep", "test.tgt",
@@ -531,6 +540,23 @@ def test_malformed_input_named(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the tiny pipeline as console commands, in processes with one and with
+    # two OpenBLAS threads: every file the same, timings masked
+    src = str(Path(__file__).parents[1] / "src")
+    trees = []
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, OUTPUT_ROOT_ENV: str(root),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in commands(root / "run", opts("run")):
+            subprocess.run([sys.executable, "-m", "narlab.cli", *argv], env=env, check=True,
+                           capture_output=True)
+        trees.append(tree_bytes(root / "run"))
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert [k for k in trees[0] if trees[0][k] != trees[1][k]] == []
 
 
 def test_env_var_roots_relative_output_dir(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narlab.distill import (
     MONOLINGUAL,
@@ -99,6 +101,16 @@ class TestStripOrigin:
             ([3], [4]),
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_par=st.integers(0, 12), n_mono=st.integers(0, 30),
+           fraction=st.floats(0.0, 1.0), mix_seed=st.integers(0, 10**6))
+    def test_commutes_with_mixing(self, n_par, n_mono, fraction, mix_seed):
+        # mixing permutes by position only, so origin-free pairs mix into
+        # the stripped mix of the triples
+        par, mono = par_pool(n_par), mono_pool(n_mono)
+        assert (strip_origin(mix_monolingual(par, mono, fraction, mix_seed))
+                == mix_monolingual(strip_origin(par), strip_origin(mono), fraction, mix_seed))
+
 
 def dedup_oracle(seq):
     return [tok for i, tok in enumerate(seq) if i == 0 or seq[i - 1] != tok]
@@ -123,3 +135,4 @@ class TestDedupAdjacent:
             seq = [int(x) for x in rng.integers(0, 3, size=rng.integers(0, 10))]
             once = dedup_adjacent(seq)
             assert dedup_adjacent(once) == once
+

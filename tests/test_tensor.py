@@ -212,6 +212,18 @@ class TestBackwardAnalytic:
         assert x.grad.flags.writeable
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
+    def test_zero_d_grads_stay_arrays(self):
+        # numpy arithmetic on 0-d arrays returns numpy scalars; the first
+        # store, the accumulation over reuse and a repeated backward all
+        # keep ndarrays
+        x = Tensor(0.5, requires_grad=True)
+        loss = T.exp(x) * x
+        T.backward(loss)
+        np.testing.assert_allclose(x.grad, 1.5 * np.exp(0.5), rtol=1e-15)
+        T.backward(loss)
+        assert isinstance(x.grad, np.ndarray) and isinstance(loss.grad, np.ndarray)
+        assert x.grad.shape == loss.grad.shape == ()
+
 
 class TestBackwardFiniteDiff:
     """Every primitive's backward against central differences."""

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from narlab import tensor as T
+from narlab.distill import mix_monolingual
+from narlab.lengths import estimate_C
 from narlab.tensor import Tensor
 from narlab.training import (
     Adam,
@@ -17,6 +19,7 @@ from narlab.training import (
     make_batches,
     smoothed_ce_from_logits,
     train,
+    train_student,
 )
 from narlab.nar import NARTransformer
 from narlab.transformer import ModelConfig, Transformer
@@ -379,3 +382,38 @@ class TestTrainLoop:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train(Transformer(tiny_config(), seed=0), [], TrainConfig(), validation=[])
+
+    def test_zero_d_parameters_and_grads_stay_arrays(self):
+        # soft_copy.rho is 0-d, and numpy arithmetic on 0-d arrays returns
+        # numpy scalars: backward, Adam and the averaging keep ndarrays
+        model = NARTransformer(tiny_config().as_nar(), seed=0)
+        assert model.params["soft_copy.rho"].shape == ()
+        cfg = TrainConfig(batch_tokens=128, warmup_steps=10, max_epochs=3,
+                          patience_epochs=3, average_last_k=2, seed=0)
+        assert len(train(model, tiny_pairs(6, 3, 3), cfg, validation=[])) == 3  # one step each
+        for name, p in model.params.items():
+            assert isinstance(p.data, np.ndarray) and isinstance(p.grad, np.ndarray), name
+        Adam(model.params).step(0.01)
+        assert all(isinstance(p.data, np.ndarray) for p in model.params.values())
+
+
+class TestTrainStudent:
+    def test_matches_the_explicit_steps(self):
+        teacher = Transformer(tiny_config(), seed=1)
+        par, mono = tiny_pairs(6, 3, 3), tiny_pairs(12, 3, 4, seed=2)
+        valid = tiny_pairs(4, 3, 3, seed=5)
+        cfg = TrainConfig(batch_tokens=64, warmup_steps=10, max_epochs=3,
+                          patience_epochs=3, average_last_k=2, seed=4)
+        student, records, C, loss = train_student(teacher, par, mono, 0.75, 3, cfg, valid)
+
+        mixed = mix_monolingual(par, mono, 0.75, 3)
+        oracle = NARTransformer(teacher.config.as_nar(), seed=4)
+        init_student_from_teacher(teacher.params, oracle.params)
+        oracle_records = train(oracle, mixed, cfg, valid)
+        assert C == estimate_C(mixed) == 1  # 9 mono pairs of +1 among 15
+        assert loss == dataset_loss(oracle, mixed, cfg.label_smoothing)
+        assert ([(r.epoch, r.train_loss, r.valid_loss, r.lr) for r in records]
+                == [(r.epoch, r.train_loss, r.valid_loss, r.lr) for r in oracle_records])
+        assert student.config == oracle.config
+        for name, p in oracle.params.items():
+            np.testing.assert_array_equal(student.params[name].data, p.data, err_msg=name)
