@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
+from .corpora import whole_file
 from .tensor import Tensor
 from .transformer import NAR, ModelConfig, Transformer
 
@@ -34,9 +34,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict, extra: dict | None 
         "params": {name: list(a.shape) for name, a in sorted(arrays.items())},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with whole_file(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "big"))
         fh.write(blob)

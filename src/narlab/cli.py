@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from .config import RunConfig, RunLock, load_config, default_config, run_dir, write_resolved
-from .corpora import read_pairs, read_sentences, write_json, write_pairs, write_sentences
+from .corpora import read_sentences, write_json, write_lines, write_pairs, write_sentences
 from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus
 from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
                        corpus_bleu, loss_gap_analysis)
@@ -70,28 +70,36 @@ def _check_lines(path, sentences, config, references: bool = False,
     return sentences
 
 
-def _read_pairs(directory: Path, split: str, config, references: bool = False) -> list:
-    """The pairs of ``split``.src / ``split``.tgt under ``directory``, once
-    ``_check_lines`` passes their sources and targets (the targets as
-    references if ``references``; an AR model reads its targets after BOS)."""
-    pairs = read_pairs(directory, split)
-    _check_lines(directory / f"{split}.src", [s for s, _ in pairs], config)
-    _check_lines(directory / f"{split}.tgt", [t for _, t in pairs], config, references,
-                 after_bos=config.flavor == AR)
-    return pairs
-
-
-def _read_aligned(**paths) -> list:
-    """The sentences of each file in ``paths`` (keyed by what it holds),
-    once all have the same number of lines; otherwise a CommandError naming
-    every file and its count."""
-    texts = [read_sentences(_require(Path(p), f"{what} file")) for what, p in paths.items()]
+def _read_aligned(*inputs) -> list:
+    """The sentences of the file at each (path, hint) of ``inputs``, once each
+    exists (else a CommandError with its hint) and all have as many lines
+    (else a CommandError naming every file and its count)."""
+    paths = [_require(Path(p), hint) for p, hint in inputs]
+    texts = [read_sentences(p) for p in paths]
     if len({len(t) for t in texts}) > 1:
-        counts = ", ".join(f"{p} has {len(t)}" for p, t in zip(paths.values(), texts))
+        counts = ", ".join(f"{p} has {len(t)}" for p, t in zip(paths, texts))
         raise CommandError(f"line counts differ: {counts}")
-    if not texts[0]:
-        raise CommandError(f"no sentences in {', '.join(map(str, paths.values()))}")
     return texts
+
+
+def _read_scored(*inputs) -> list:
+    """``_read_aligned(*inputs)``, once the files hold a sentence to score."""
+    texts = _read_aligned(*inputs)
+    if not texts[0]:
+        raise CommandError(f"no sentences in {', '.join(str(p) for p, _ in inputs)}")
+    return texts
+
+
+def _read_pairs(directory: Path, split: str, config, hint: str,
+                references: bool = False) -> list:
+    """The pairs of ``split``.src / ``split``.tgt under ``directory``, read
+    with ``hint`` for a missing file, once ``_check_lines`` passes both sides
+    (the targets as references if ``references``, after BOS for an AR model)."""
+    src_path, tgt_path = (directory / f"{split}.{ext}" for ext in ("src", "tgt"))
+    srcs, tgts = _read_aligned((src_path, hint), (tgt_path, hint))
+    _check_lines(src_path, srcs, config)
+    _check_lines(tgt_path, tgts, config, references, after_bos=config.flavor == AR)
+    return list(zip(srcs, tgts))
 
 
 def _parse_option(option: str, value: str, parse, expected: str):
@@ -116,6 +124,12 @@ def _length_offset(C, extra, path, option: str) -> int:
         raise CommandError(f"{path} stores no length_offset: give C with {option}, "
                            f"or use a student checkpoint that train-student wrote")
     return C if C is not None else int(extra["length_offset"])
+
+
+def _teacher_path(args, out: Path) -> Path:
+    """The teacher checkpoint: ``--teacher``, or else the run directory's."""
+    return _require(Path(args.teacher) if args.teacher else out / "teacher.ckpt",
+                    "run train-teacher, or pass --teacher")
 
 
 def _check_teacher(meta_path: Path, teacher_path: Path, remedy: str) -> str:
@@ -176,10 +190,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train_teacher(args) -> int:
     cfg = _resolve(args)
     out = run_dir(cfg)
-    data_dir = out / "data"
-    _require(data_dir / "train.src", "run gen-data first")
     model = Transformer(cfg.model_config(AR), seed=cfg.train.seed)
-    train_pairs, valid_pairs = (_read_pairs(data_dir, split, model.config)
+    train_pairs, valid_pairs = (_read_pairs(out / "data", split, model.config,
+                                            "run gen-data first")
                                 for split in ("train", "valid"))
     with RunLock(out):
         write_resolved(cfg, out)
@@ -200,10 +213,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_distill(args) -> int:
     cfg = _resolve(args)
     out = run_dir(cfg)
-    teacher_path = Path(args.teacher) if args.teacher else out / "teacher.ckpt"
-    _require(teacher_path, "run train-teacher first")
-    data_dir = out / "data"
-    _require(data_dir / "train.src", "run gen-data first")
+    teacher_path = _teacher_path(args, out)
     dist_dir = out / "distill"
     meta_path = dist_dir / "meta.json"
     digest = _check_teacher(meta_path, teacher_path, "remove the directory to re-distill")
@@ -211,7 +221,7 @@ def cmd_distill(args) -> int:
     sources = {}
     for split, name in (("train", "train.src"), ("valid", "valid.src"),
                         ("test", "test.src"), ("mono", "mono.txt")):
-        path = data_dir / name
+        path = _require(out / "data" / name, "run gen-data first")
         sources[split] = _check_lines(path, read_sentences(path), teacher.config)
     with RunLock(out):
         write_resolved(cfg, out)
@@ -234,16 +244,14 @@ def cmd_distill(args) -> int:
 def cmd_train_student(args) -> int:
     cfg = _resolve(args)
     out = run_dir(cfg)
-    if not args.teacher:
-        raise CommandError("train-student requires --teacher (the student "
-                           "inherits the teacher's encoder and embeddings)")
-    teacher_path = _require(Path(args.teacher), "run train-teacher first")
+    teacher_path = _teacher_path(args, out)
     dist_dir = out / "distill"
     meta_path = _require(dist_dir / "meta.json",
                          "run distill to its end: it writes meta.json last")
     _check_teacher(meta_path, teacher_path, "pass the teacher that distilled it")
     config = cfg.model_config(NAR)
-    splits = {split: _read_pairs(dist_dir, split, config, references=True)
+    splits = {split: _read_pairs(dist_dir, split, config, "run distill first",
+                                 references=True)
               for split in ("train", "mono", "valid", "test")}
     teacher, _ = _load_model(teacher_path, AR)
     differs = [k for k, v in asdict(teacher.config.as_nar()).items() if getattr(config, k) != v]
@@ -268,9 +276,8 @@ def cmd_train_student(args) -> int:
         })
         eval_report = {
             "train_loss": train_loss,
-            "valid_loss": records[-1].valid_loss,
-            "test_loss": dataset_loss(student, splits["test"],
-                                      cfg.train.label_smoothing),
+            "valid_loss": dataset_loss(student, splits["valid"], cfg.train.label_smoothing),
+            "test_loss": dataset_loss(student, splits["test"], cfg.train.label_smoothing),
             "mono_fraction": cfg.distill.mono_fraction,
             "epochs": len(records),
         }
@@ -286,22 +293,20 @@ def cmd_translate(args) -> int:
     out = run_dir(cfg)
     student_path = Path(args.student) if args.student else out / "student.ckpt"
     student, s_extra = _load_model(_require(student_path, "run train-student first"), NAR)
-    src_path = _require(Path(args.input), "input sentence file")
-    srcs = _check_lines(src_path, read_sentences(src_path), student.config)
-    refs = (_check_lines(args.gold_lengths, read_sentences(Path(args.gold_lengths)),
-                         student.config, references=True)
-            if args.gold_lengths else None)
+    gold = [(args.gold_lengths, "--gold-lengths reference file")] if args.gold_lengths else []
+    srcs, *refs = _read_aligned((args.input, "input sentence file"), *gold)
+    _check_lines(args.input, srcs, student.config)
+    for r in refs:
+        _check_lines(args.gold_lengths, r, student.config, references=True)
     with RunLock(out):
         write_resolved(cfg, out)
     length = cfg.length
-    if refs is not None:
-        hyps = gold_length_decode(student, srcs, refs)
+    if refs:
+        hyps = gold_length_decode(student, srcs, refs[0])
     else:
         policy = LengthPolicy(C=_length_offset(length.C, s_extra, student_path,
                                                "-O length.C=<C>"), B=length.B)
-        teacher_path = Path(args.teacher) if args.teacher else out / "teacher.ckpt"
-        teacher, _ = _load_model(_require(teacher_path, "the reranking teacher: run "
-                                          "train-teacher or pass --teacher"), AR)
+        teacher, _ = _load_model(_teacher_path(args, out), AR)
         hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
                                              length.rank_mode)
     if length.dedup:
@@ -312,7 +317,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyps, refs = _read_aligned(hypothesis=args.hyp, reference=args.ref)
+    hyps, refs = _read_scored((args.hyp, "hypothesis file"), (args.ref, "reference file"))
     report = corpus_bleu(hyps, refs, smooth=args.smooth)
     precisions = " ".join(f"P{i + 1} {p * 100:.1f}" for i, p in
                           enumerate(report.precisions))
@@ -342,57 +347,46 @@ def _parse_tagged(items, what: str) -> dict:
     return out
 
 
-def cmd_analyze(args) -> int:
-    if args.kind == "loss-gap":
-        tagged = _parse_tagged(args.run, "--run FRACTION=DIR")
-        runs = {}
-        for frac, d in tagged.items():
-            path = _require(Path(d) / "student_eval.json",
-                            "train-student writes it")
-            runs[float(frac)] = json.loads(path.read_text())
-        rows = loss_gap_analysis(runs)
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write("# fraction train_loss test_loss gap\n")
-            for r in rows:
-                fh.write(f"{r.fraction} {r.train_loss:.6f} {r.test_loss:.6f} "
-                         f"{r.gap:.6f}\n")
-        for r in rows:
-            print(f"fraction {r.fraction}: train {r.train_loss:.4f} "
-                  f"test {r.test_loss:.4f} gap {r.gap:.4f}")
-        return 0
+def cmd_loss_gap(args) -> int:
+    runs = {}
+    for frac, d in _parse_tagged(args.run, "--run FRACTION=DIR").items():
+        path = _require(Path(d) / "student_eval.json", "train-student writes it")
+        runs[float(frac)] = json.loads(path.read_text())
+    rows = loss_gap_analysis(runs)
+    write_lines(Path(args.output), ["# fraction train_loss test_loss gap"] + [
+        f"{r.fraction} {r.train_loss:.6f} {r.test_loss:.6f} {r.gap:.6f}" for r in rows])
+    for r in rows:
+        print(f"fraction {r.fraction}: train {r.train_loss:.4f} "
+              f"test {r.test_loss:.4f} gap {r.gap:.4f}")
+    return 0
 
-    if args.kind == "b-sweep":
-        students = {name: (p, *_load_model(_require(Path(p), "student checkpoint"), NAR))
-                    for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
-        teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
-        data = Path(args.data)
-        B_values = _parse_option("--b-values", args.b_values, _half_widths,
-                                 "a comma list of nonnegative integers")
-        sweeps = {}
-        for name, (path, student, extra) in students.items():
-            pairs = _read_pairs(data, "test", student.config, references=True)
-            sweeps[name] = b_sweep(student, teacher, pairs, B_values,
-                                   _length_offset(args.length_offset, extra, path,
-                                                  "--length-offset"),
-                                   rank_mode=args.rank_mode, smooth=args.smooth)
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write("# variant B bleu\n")
-            for name, (cells, gold) in sorted(sweeps.items()):
-                for B in B_values:
-                    fh.write(f"{name} {B} {cells[B]:.4f}\n")
-                fh.write(f"{name} gold {gold:.4f}\n")
-        for name, (cells, gold) in sorted(sweeps.items()):
-            line = "  ".join(f"B={B}: {cells[B]:.2f}" for B in B_values)
-            print(f"{name}: {line}  gold: {gold:.2f}")
-        return 0
 
-    # buckets
-    hyps, refs, srcs = _read_aligned(hypothesis=args.hyp, reference=args.ref,
-                                     source=args.src)
+def cmd_b_sweep(args) -> int:
+    students = {name: (p, *_load_model(_require(Path(p), "student checkpoint"), NAR))
+                for name, p in _parse_tagged(args.student, "--student NAME=CKPT").items()}
+    teacher, _ = _load_model(_require(Path(args.teacher), "teacher checkpoint"), AR)
+    B_values = _parse_option("--b-values", args.b_values, _half_widths,
+                             "a comma list of nonnegative integers")
+    sweeps = {}
+    for name, (path, student, extra) in students.items():
+        pairs = _read_pairs(Path(args.data), "test", student.config,
+                            "--data holds test.src and test.tgt", references=True)
+        sweeps[name] = b_sweep(student, teacher, pairs, B_values,
+                               _length_offset(args.length_offset, extra, path,
+                                              "--length-offset"),
+                               rank_mode=args.rank_mode, smooth=args.smooth)
+    lines = ["# variant B bleu"]
+    for name, (cells, gold) in sorted(sweeps.items()):
+        lines += [f"{name} {B} {cells[B]:.4f}" for B in B_values] + [f"{name} gold {gold:.4f}"]
+        cells_text = "  ".join(f"B={B}: {cells[B]:.2f}" for B in B_values)
+        print(f"{name}: {cells_text}  gold: {gold:.2f}")
+    write_lines(Path(args.output), lines)
+    return 0
+
+
+def cmd_buckets(args) -> int:
+    hyps, refs, srcs = _read_scored((args.hyp, "hypothesis file"),
+                                    (args.ref, "reference file"), (args.src, "source file"))
     edges = check_bucket_edges(_parse_option(
         "--edges", args.edges,
         lambda v: [(int(lo), int(hi)) for lo, hi in (part.split("-") for part in v.split(","))],
@@ -403,16 +397,12 @@ def cmd_analyze(args) -> int:
             raise CommandError(f"{args.src}:{lineno}: source length {len(s)} "
                                f"not covered by any bucket")
     rows = bucket_bleu(hyps, refs, srcs, edges, smooth=args.smooth)
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write("# lo hi count bleu\n")
-        for row in rows:
-            bleu = "absent" if row.bleu is None else f"{row.bleu:.4f}"
-            fh.write(f"{row.interval[0]} {row.interval[1]} {row.count} {bleu}\n")
+    lines = ["# lo hi count bleu"]
     for row in rows:
-        bleu = "absent" if row.bleu is None else f"{row.bleu:.2f}"
-        print(f"[{row.interval[0]}, {row.interval[1]}]: n={row.count} BLEU {bleu}")
+        (lo, hi), absent = row.interval, row.bleu is None
+        lines.append(f"{lo} {hi} {row.count} {'absent' if absent else f'{row.bleu:.4f}'}")
+        print(f"[{lo}, {hi}]: n={row.count} BLEU {'absent' if absent else f'{row.bleu:.2f}'}")
+    write_lines(Path(args.output), lines)
     print(f"total {len(srcs)}")
     return 0
 
@@ -420,6 +410,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------
+
+TEACHER_HELP = "teacher checkpoint (default: teacher.ckpt in the run directory)"
+
 
 def _add_config_args(p):
     p.add_argument("-c", "--config", help="YAML run configuration file")
@@ -445,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="decode all sources with the teacher")
     _add_config_args(p)
-    p.add_argument("--teacher", help="teacher checkpoint (default: run dir)")
+    p.add_argument("--teacher", help=TEACHER_HELP)
     p.set_defaults(fn=cmd_distill)
 
     p = sub.add_parser("train-student", help="train the NAR student")
     _add_config_args(p)
-    p.add_argument("--teacher", help="teacher checkpoint (required)")
+    p.add_argument("--teacher", help=TEACHER_HELP)
     p.set_defaults(fn=cmd_train_student)
 
     p = sub.add_parser("translate", help="length-parallel decode a file")
@@ -458,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="source sentence file")
     p.add_argument("-o", "--output", required=True, help="hypothesis file to write")
     p.add_argument("--student", help="student checkpoint (default: run dir)")
-    p.add_argument("--teacher", help="teacher checkpoint for reranking")
+    p.add_argument("--teacher", help=TEACHER_HELP)
     p.add_argument("--gold-lengths", metavar="REF_FILE",
                    help="decode at each reference's true length (no reranking)")
     p.set_defaults(fn=cmd_translate)
@@ -478,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--run", action="append", metavar="FRACTION=DIR",
                    required=True)
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(fn=cmd_analyze)
+    q.set_defaults(fn=cmd_loss_gap)
 
     q = asub.add_parser("b-sweep", help="BLEU vs candidate half-width")
     q.add_argument("--student", action="append", metavar="NAME=CKPT",
@@ -492,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rank-mode", choices=RANK_MODES, default=RANK_MODES[0])
     q.add_argument("--smooth", action="store_true")
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(fn=cmd_analyze)
+    q.set_defaults(fn=cmd_b_sweep)
 
     q = asub.add_parser("buckets", help="BLEU by source-length bucket")
     q.add_argument("--hyp", required=True)
@@ -501,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--edges", help="comma list of lo-hi intervals, e.g. 1-6,7-9,10-12")
     q.add_argument("--smooth", action="store_true")
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(fn=cmd_analyze)
+    q.set_defaults(fn=cmd_buckets)
 
     return parser
 

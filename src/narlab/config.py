@@ -14,6 +14,7 @@ from pathlib import Path
 
 import yaml
 
+from .corpora import whole_file
 from .lengths import RANK_MODES
 from .tasks import TaskSpec
 from .training import TrainConfig
@@ -182,10 +183,8 @@ def run_dir(config: RunConfig) -> Path:
 
 def write_resolved(config: RunConfig, directory) -> Path:
     """The reproducibility snapshot: sorted-key YAML of the full config."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "resolved.yaml"
-    with open(path, "w") as fh:
+    path = Path(directory) / "resolved.yaml"
+    with whole_file(path) as fh:
         yaml.safe_dump(asdict(config), fh, sort_keys=True)
     return path
 

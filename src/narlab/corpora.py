@@ -1,19 +1,41 @@
 """Corpus file IO: one sentence per line, space-separated integer token ids,
 plus sorted-key JSON sidecars for provenance.  All writers are
-deterministic byte-for-byte given identical inputs."""
+deterministic byte-for-byte given identical inputs, and land whole (see
+``whole_file``): a killed stage leaves the old file or none."""
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def write_sentences(path, sentences) -> None:
+@contextmanager
+def whole_file(path, mode: str = "w"):
+    """A file opened in ``mode`` under a temporary name beside ``path``
+    (parent directories made), moved onto ``path`` when the block ends and
+    removed if it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for s in sentences:
-            fh.write(" ".join(str(int(t)) for t in s) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once replaced
+
+
+def write_lines(path, lines) -> None:
+    """Each string of ``lines`` and a newline, landed whole at ``path``."""
+    with whole_file(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_sentences(path, sentences) -> None:
+    write_lines(path, (" ".join(str(int(t)) for t in s) for s in sentences))
 
 
 def read_sentences(path) -> list:
@@ -38,18 +60,5 @@ def write_pairs(directory, name: str, pairs) -> None:
     write_sentences(directory / f"{name}.tgt", [t for _, t in pairs])
 
 
-def read_pairs(directory, name: str) -> list:
-    src_path, tgt_path = (Path(directory) / f"{name}.{ext}" for ext in ("src", "tgt"))
-    srcs, tgts = read_sentences(src_path), read_sentences(tgt_path)
-    if len(srcs) != len(tgts):
-        raise ValueError(f"line counts differ: {src_path} has {len(srcs)}, "
-                         f"{tgt_path} has {len(tgts)}")
-    return list(zip(srcs, tgts))
-
-
 def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])

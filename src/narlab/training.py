@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .corpora import write_lines
 from .distill import mix_monolingual
 from .lengths import estimate_C
 from .nar import NARTransformer
@@ -25,8 +26,8 @@ from .util import group_positions, rng_for
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_tokens: int = 2048
-    warmup_steps: int = 400
+    batch_tokens: int = 512
+    warmup_steps: int = 200
     peak_lr: float = 0.01
     label_smoothing: float = 0.1
     patience_epochs: int = 5
@@ -268,9 +269,7 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
     for name, val in average_checkpoints(list(ring)).items():
         model.params[name].data = val
     if curves_path is not None:
-        with open(curves_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+        write_lines(curves_path, (json.dumps(asdict(rec), sort_keys=True) for rec in records))
     return records
 
 

@@ -62,11 +62,11 @@ def verdict(n: int, label: str, ok: bool, detail: str = ""):
 # shared, expensive fixtures (built lazily, in criterion order)
 # ---------------------------------------------------------------------
 
-# the desk-scale training recipe (matches configs/desk.yaml): the small
-# batch buys the schedule enough optimizer steps inside 30 epochs, and
-# the short warmup halves the mid-training lr so the valid-loss bounce
-# stays inside the patience window
-DESK_TRAIN = TrainConfig(batch_tokens=512, warmup_steps=200)
+# the desk-scale training recipe, TrainConfig's defaults as in
+# configs/desk.yaml: the small batch buys the schedule enough optimizer
+# steps inside 30 epochs, and the short warmup halves the mid-training lr
+# so the valid-loss bounce stays inside the patience window
+DESK_TRAIN = TrainConfig()
 # family students train a fixed budget with early stopping disabled
 # (patience == max_epochs): the mono-fraction comparison needs every run
 # to fit its data fully, otherwise an early stop on the small 0-mono

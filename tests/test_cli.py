@@ -22,7 +22,7 @@ from narlab.checkpoint import (MAGIC, checkpoint_digest, load_checkpoint, load_m
                                save_checkpoint)
 from narlab.cli import build_parser, main
 from narlab.config import OUTPUT_ROOT_ENV, RunConfig, load_config, write_resolved
-from narlab.corpora import read_pairs, read_sentences
+from narlab.corpora import read_sentences
 from narlab.distill import mix_monolingual
 from narlab.lengths import LengthPolicy, candidate_lengths
 from narlab.nar import NARTransformer
@@ -33,6 +33,12 @@ from tiny_pipeline import TINY, commands, opts, tree_bytes
 
 def run_ok(*argv):
     assert main(list(argv)) == 0
+
+
+def distilled(run, split) -> list:
+    """The (source, target) pairs of a distilled split of ``run``."""
+    return list(zip(*(read_sentences(run / "distill" / f"{split}.{ext}")
+                      for ext in ("src", "tgt"))))
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +116,19 @@ class TestPipelineArtifacts:
         # the loss of the saved (last-k averaged) student over its mixed
         # corpus, as criterion 4 takes it; not the last epoch's running mean
         cfg = load_config(run / "resolved.yaml")
-        mixed = mix_monolingual(read_pairs(run / "distill", "train"),
-                                read_pairs(run / "distill", "mono"),
+        mixed = mix_monolingual(distilled(run, "train"), distilled(run, "mono"),
                                 cfg.distill.mono_fraction, cfg.distill.mix_seed)
         report = json.loads((run / "student_eval.json").read_text())
         assert report["train_loss"] == dataset_loss(load_model(run / "student.ckpt"), mixed,
+                                                    cfg.train.label_smoothing)
+
+    def test_student_eval_valid_loss_is_the_saved_students(self, run):
+        # the saved student's loss over distilled valid, like train_loss and
+        # test_loss; not the last epoch's loss from before averaging
+        cfg = load_config(run / "resolved.yaml")
+        report = json.loads((run / "student_eval.json").read_text())
+        assert report["valid_loss"] == dataset_loss(load_model(run / "student.ckpt"),
+                                                    distilled(run, "valid"),
                                                     cfg.train.label_smoothing)
 
     def test_translate_line_counts_and_tokens(self, run):
@@ -227,9 +241,28 @@ class TestErrorPaths:
                      "-i", "x.txt", "-o", "y.txt"]) == 2
         assert "missing input" in capsys.readouterr().err
 
-    def test_train_student_requires_teacher(self, tmp_path, capsys):
-        assert main(["train-student", *opts(tmp_path / "empty")]) == 2
-        assert "--teacher" in capsys.readouterr().err
+    def test_train_student_defaults_to_run_teacher(self, run, tmp_path):
+        # without --teacher, train-student takes the run directory's teacher.ckpt
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        (out / "student.ckpt").unlink()
+        run_ok("train-student", *opts(out))
+        assert (out / "student.ckpt").read_bytes() == (run / "student.ckpt").read_bytes()
+
+    def test_empty_mono_pool_and_input_are_legal(self, run, tmp_path):
+        # data.mono_ratio=0 writes an empty mono.txt; distill, train-student
+        # and translate (of an empty file) take empty files as empty
+        out = tmp_path / "run"
+        shutil.copytree(run / "data", out / "data")
+        shutil.copy(run / "teacher.ckpt", out / "teacher.ckpt")
+        (out / "data" / "mono.txt").write_text("")
+        (out / "empty.src").write_text("")
+        run_ok("distill", *opts(out))
+        run_ok("train-student", *opts(out))
+        run_ok("translate", *opts(out), "-i", str(out / "empty.src"),
+               "-o", str(out / "empty.hyp"))
+        assert distilled(out, "mono") == []
+        assert (out / "empty.hyp").read_text() == ""
 
     def test_distill_refuses_foreign_corpus(self, run, tmp_path, capsys):
         out = tmp_path / "clone"
@@ -248,7 +281,8 @@ class TestErrorPaths:
                      "-i", str(run / "distill" / "test.src"),
                      "-o", str(tmp_path / "h.txt"),
                      "--gold-lengths", str(short)]) == 2
-        assert "lines" in capsys.readouterr().err
+        n = len(read_sentences(run / "distill" / "test.src"))
+        assert f"{run / 'distill' / 'test.src'} has {n}, {short} has 1" in capsys.readouterr().err
 
     def test_locked_run_dir(self, tmp_path, capsys):
         out = tmp_path / "busy"
@@ -540,6 +574,37 @@ def test_malformed_input_named(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+
+
+# each row: a command of the tiny pipeline (or its translate with
+# --gold-lengths) and a file that it reads
+GOLD = "translate --gold-lengths"
+PIPELINE_INPUTS = [
+    *(("train-teacher", f"data/{split}.{ext}") for split in ("train", "valid")
+      for ext in ("src", "tgt")),
+    ("distill", "teacher.ckpt"),
+    *(("distill", f"data/{name}") for name in ("train.src", "valid.src", "test.src",
+                                                "mono.txt")),
+    ("train-student", "teacher.ckpt"),
+    ("train-student", "distill/meta.json"),
+    *(("train-student", f"distill/{split}.{ext}") for split in ("train", "mono", "valid", "test")
+      for ext in ("src", "tgt")),
+    *(("translate", name) for name in ("student.ckpt", "teacher.ckpt", "distill/test.src")),
+    (GOLD, "distill/test.tgt"),
+]
+
+
+@pytest.mark.parametrize("command, rel", PIPELINE_INPUTS,
+                         ids=[f"{c}: {r}" for c, r in PIPELINE_INPUTS])
+def test_missing_pipeline_input_named(command, rel, run, tmp_path, capsys):
+    # a copy of the finished tiny run with one input of ``command`` deleted
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    (out / rel).unlink()
+    argv = {a[0]: a for a in commands(out, opts(out))}
+    argv[GOLD] = argv["translate"] + ["--gold-lengths", str(out / "distill" / "test.tgt")]
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: missing input {out / rel} (")
 
 
 def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):

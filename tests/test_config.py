@@ -27,8 +27,8 @@ class TestRunConfig:
         assert c.task.kind == "mapped_reversal"
         assert (c.model.num_layers, c.model.num_heads) == (2, 4)
         assert (c.model.model_dim, c.model.hidden_dim) == (64, 256)
-        assert c.train.batch_tokens == 2048
-        assert c.train.warmup_steps == 400
+        assert c.train.batch_tokens == 512
+        assert c.train.warmup_steps == 200
         assert c.train.label_smoothing == 0.1
         assert c.train.patience_epochs == 5
         assert c.train.average_last_k == 5
@@ -105,7 +105,7 @@ class TestLoadConfig:
         assert c.task.kind == "even_duplication"
         assert c.output_dir == "myrun"
         # untouched sections keep defaults
-        assert c.train.batch_tokens == 2048
+        assert c.train.batch_tokens == 512
 
     def test_empty_file_gives_defaults(self, tmp_path):
         p = tmp_path / "empty.yaml"
@@ -127,6 +127,11 @@ def test_shipped_config_builds_models(name):
         assert m.flavor == flavor
         assert m.vocab_size == cfg.task.n_content + N_RESERVED
         assert m.model_dim == cfg.model.model_dim
+
+
+def test_desk_config_is_the_defaults():
+    # configs/desk.yaml spells out RunConfig's defaults, the one desk recipe
+    assert load_config(CONFIGS / "desk.yaml") == RunConfig(output_dir="desk")
 
 
 class TestRunDir:

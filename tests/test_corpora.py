@@ -2,13 +2,7 @@ import json
 
 import pytest
 
-from narlab.corpora import (
-    read_pairs,
-    read_sentences,
-    write_json,
-    write_pairs,
-    write_sentences,
-)
+from narlab.corpora import read_sentences, whole_file, write_json, write_pairs, write_sentences
 
 
 class TestSentences:
@@ -40,15 +34,43 @@ class TestPairs:
     def test_round_trip(self, tmp_path):
         pairs = [([4, 5], [5, 4]), ([6, 7, 8], [8, 7, 6])]
         write_pairs(tmp_path, "train", pairs)
-        assert read_pairs(tmp_path, "train") == pairs
-        assert (tmp_path / "train.src").exists()
-        assert (tmp_path / "train.tgt").exists()
+        assert read_sentences(tmp_path / "train.src") == [s for s, _ in pairs]
+        assert read_sentences(tmp_path / "train.tgt") == [t for _, t in pairs]
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        write_sentences(tmp_path / "bad.src", [[4], [5]])
-        write_sentences(tmp_path / "bad.tgt", [[4]])
-        with pytest.raises(ValueError, match="counts differ"):
-            read_pairs(tmp_path, "bad")
+
+class TestWholeFiles:
+    """A write that fails leaves the old file as it was, and nothing beside it."""
+
+    def test_failed_write_keeps_old_bytes(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("old\n")
+        with pytest.raises(RuntimeError, match="killed"):
+            with whole_file(p) as fh:
+                fh.write("new, cut short")
+                fh.flush()
+                raise RuntimeError("killed")
+        assert p.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_failed_sentence_stream_keeps_old_bytes(self, tmp_path):
+        p = tmp_path / "mono.txt"
+        write_sentences(p, [[4, 5], [6]])
+
+        def sentences():
+            yield [7, 8]
+            raise RuntimeError("killed")
+
+        with pytest.raises(RuntimeError, match="killed"):
+            write_sentences(p, sentences())
+        assert p.read_text() == "4 5\n6\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_binary_mode_and_new_file(self, tmp_path):
+        p = tmp_path / "new" / "f.bin"
+        with whole_file(p, "wb") as fh:
+            fh.write(b"\x00\x01")
+        assert p.read_bytes() == b"\x00\x01"
+        assert list(p.parent.iterdir()) == [p]
 
 
 class TestJson:
