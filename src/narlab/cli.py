@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
-from .config import RunConfig, RunLock, load_config, default_config, run_dir, write_resolved
+from .config import RunConfig, RunLock, load_config, run_dir, write_resolved
 from .corpora import read_sentences, write_json, write_lines, write_pairs, write_sentences
 from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus
 from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
@@ -40,10 +40,7 @@ def _require(path: Path, hint: str) -> Path:
 
 
 def _resolve(args) -> RunConfig:
-    overrides = list(args.set or [])
-    if args.config:
-        return load_config(args.config, overrides)
-    return default_config(overrides)
+    return load_config(args.config, args.set or ())
 
 
 def _check_lines(path, sentences, config, references: bool = False,
@@ -132,21 +129,35 @@ def _teacher_path(args, out: Path) -> Path:
                     "run train-teacher, or pass --teacher")
 
 
+def _read_json(path: Path, hint: str) -> dict:
+    """The JSON object in the file at ``path``, once it exists (else a
+    CommandError with ``hint``) and holds one (else a CommandError naming it)."""
+    try:
+        obj = json.loads(_require(path, hint).read_text())
+    except json.JSONDecodeError as exc:
+        raise CommandError(f"{path} is not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise CommandError(f"{path} does not hold a JSON object")
+    return obj
+
+
 def _check_teacher(meta_path: Path, teacher_path: Path, remedy: str) -> str:
     """The digest of the checkpoint at ``teacher_path``, once the distill
     meta.json at ``meta_path`` (if it exists) records that same teacher."""
     digest = checkpoint_digest(teacher_path)
     if meta_path.exists():
-        try:
-            old = json.loads(meta_path.read_text()).get("teacher_digest")
-        except json.JSONDecodeError as exc:
-            raise CommandError(f"{meta_path} is not valid JSON ({exc})") from None
+        old = _read_json(meta_path, "distill writes it").get("teacher_digest")
         if old != digest:
             raise CommandError(
                 f"distilled corpus in {meta_path.parent} was produced by a different "
                 f"teacher than {teacher_path} (digest {old} != {digest}); {remedy}"
             )
     return digest
+
+
+def _loss_text(loss) -> str:
+    """Four decimals, or "none" where there were no pairs to take a loss on."""
+    return "none" if loss is None else f"{loss:.4f}"
 
 
 def _load_model(path, flavor: str) -> tuple:
@@ -206,7 +217,7 @@ def cmd_train_teacher(args) -> int:
             "final_valid_loss": records[-1].valid_loss,
         })
     print(f"teacher: {len(records)} epochs, final valid loss "
-          f"{records[-1].valid_loss:.4f} -> {out / 'teacher.ckpt'}")
+          f"{_loss_text(records[-1].valid_loss)} -> {out / 'teacher.ckpt'}")
     return 0
 
 
@@ -248,7 +259,7 @@ def cmd_train_student(args) -> int:
     dist_dir = out / "distill"
     meta_path = _require(dist_dir / "meta.json",
                          "run distill to its end: it writes meta.json last")
-    _check_teacher(meta_path, teacher_path, "pass the teacher that distilled it")
+    digest = _check_teacher(meta_path, teacher_path, "pass the teacher that distilled it")
     config = cfg.model_config(NAR)
     splits = {split: _read_pairs(dist_dir, split, config, "run distill first",
                                  references=True)
@@ -271,6 +282,7 @@ def cmd_train_student(args) -> int:
             "train": asdict(cfg.train),
             "mono_fraction": cfg.distill.mono_fraction,
             "length_offset": C_hat,
+            "teacher_digest": digest,
             "epochs": len(records),
             "final_valid_loss": records[-1].valid_loss,
         })
@@ -284,7 +296,7 @@ def cmd_train_student(args) -> int:
         write_json(out / "student_eval.json", eval_report)
     print(f"student: {len(records)} epochs, C={C_hat}, "
           f"train {eval_report['train_loss']:.4f} "
-          f"test {eval_report['test_loss']:.4f} -> {out / 'student.ckpt'}")
+          f"test {_loss_text(eval_report['test_loss'])} -> {out / 'student.ckpt'}")
     return 0
 
 
@@ -350,8 +362,13 @@ def _parse_tagged(items, what: str) -> dict:
 def cmd_loss_gap(args) -> int:
     runs = {}
     for frac, d in _parse_tagged(args.run, "--run FRACTION=DIR").items():
-        path = _require(Path(d) / "student_eval.json", "train-student writes it")
-        runs[float(frac)] = json.loads(path.read_text())
+        fraction = _parse_option("--run", frac, float, "a mono fraction")
+        path = Path(d) / "student_eval.json"
+        report = _read_json(path, "train-student writes it")
+        for key in ("train_loss", "test_loss"):
+            if type(report.get(key)) not in (int, float):  # a JSON true is no loss
+                raise CommandError(f"{path} holds no number under {key!r}")
+        runs[fraction] = report
     rows = loss_gap_analysis(runs)
     write_lines(Path(args.output), ["# fraction train_loss test_loss gap"] + [
         f"{r.fraction} {r.train_loss:.6f} {r.test_loss:.6f} {r.gap:.6f}" for r in rows])

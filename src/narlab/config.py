@@ -9,7 +9,8 @@ from a snapshot reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields, make_dataclass
+import typing
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -99,14 +100,10 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        sections = {
-            "task": TaskSpec,
-            "model": ModelSection,
-            "train": TrainConfig,
-            "data": DataConfig,
-            "distill": DistillSection,
-            "length": DecodeSection,
-        }
+        """The sections in ``d`` over the defaults, each value of its field's
+        type: an int passes for a float, and only a bool for a bool."""
+        sections = typing.get_type_hints(RunConfig)
+        del sections["output_dir"]
         unknown = set(d) - set(sections) - {"output_dir"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -117,12 +114,18 @@ class RunConfig:
             body = d[name]
             if not isinstance(body, dict):
                 raise ValueError(f"section {name!r} must be a mapping")
-            allowed = {f.name for f in fields(cls)}
-            bad = set(body) - allowed
+            written = {f.name: f.type for f in fields(cls)}  # e.g. "int | None"
+            bad = set(body) - set(written)
             if bad:
                 raise ValueError(f"unknown keys in section {name!r}: {sorted(bad)}")
-            defaults = asdict(getattr(RunConfig(), name))
-            kwargs[name] = cls(**{**defaults, **body})
+            hints = typing.get_type_hints(cls)
+            for key, value in body.items():
+                kinds = typing.get_args(hints[key]) or (hints[key],)
+                if float in kinds:
+                    kinds += (int,)
+                if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+                    raise ValueError(f"{name}.{key} must be {written[key]}, got {value!r}")
+            kwargs[name] = replace(getattr(RunConfig(), name), **body)
         if "output_dir" in d:
             kwargs["output_dir"] = str(d["output_dir"])
         return RunConfig(**kwargs)
@@ -154,23 +157,19 @@ def apply_overrides(d: dict, overrides) -> dict:
     return d
 
 
-def load_config(path, overrides=()) -> RunConfig:
-    with open(path) as fh:
-        try:
-            d = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as err:
-            raise ValueError(f"config {path} is not valid YAML: {_one_line(err)}") from err
+def load_config(path=None, overrides=()) -> RunConfig:
+    """The YAML config file at ``path`` (None: the defaults), overridden."""
+    try:
+        d = yaml.safe_load(Path(path).read_text() if path is not None else "") or {}
+    except yaml.YAMLError as err:
+        raise ValueError(f"config {path} is not valid YAML: {_one_line(err)}") from err
     if not isinstance(d, dict):
         raise ValueError(f"config root of {path} must be a mapping")
     d = apply_overrides(d, overrides)
     try:
         return RunConfig.from_dict(d)
-    except (TypeError, ValueError) as err:  # unknown keys or bad values
-        raise ValueError(f"config {path}: {_one_line(err)}") from err
-
-
-def default_config(overrides=()) -> RunConfig:
-    return RunConfig.from_dict(apply_overrides({}, overrides))
+    except ValueError as err:  # unknown keys or bad values
+        raise ValueError(f"config {path or 'overrides'}: {_one_line(err)}") from err
 
 
 def run_dir(config: RunConfig) -> Path:

@@ -182,11 +182,6 @@ def loss_gap_analysis(runs: dict) -> list:
     missing = [f for f in LOSS_GAP_FRACTIONS if f not in runs]
     if missing:
         raise ValueError(f"missing runs for mono fractions: {missing}")
-    rows = []
-    for frac in sorted(runs):
-        r = runs[frac]
-        rows.append(LossGapRow(float(frac), float(r["train_loss"]),
-                               float(r["test_loss"]),
-                               float(r["test_loss"]) - float(r["train_loss"])))
-    return rows
+    return [LossGapRow(float(frac), r["train_loss"], r["test_loss"],
+                       r["test_loss"] - r["train_loss"]) for frac, r in sorted(runs.items())]
 

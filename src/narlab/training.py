@@ -162,15 +162,16 @@ def batch_loss(model, src_arr: np.ndarray, tgt_arr: np.ndarray, eps: float) -> t
 EVAL_BATCH_TOKENS = 4096  # tokens per batch of a no-grad loss pass
 
 
-def dataset_loss(model, pairs, eps: float) -> float:
-    """Token-weighted mean smoothed CE over a dataset (no grads)."""
+def dataset_loss(model, pairs, eps: float) -> float | None:
+    """Token-weighted mean smoothed CE over a dataset (no grads); None for
+    no pairs."""
     total, count = 0.0, 0
     with T.no_grad():
         for src_arr, tgt_arr in make_batches(pairs, EVAL_BATCH_TOKENS):
             loss, n = batch_loss(model, src_arr, tgt_arr, eps)
             total += loss.item() * n
             count += n
-    return total / count
+    return total / count if count else None
 
 
 # ---------------------------------------------------------------------
@@ -214,7 +215,7 @@ def init_student_from_teacher(teacher_params: dict, student_params: dict) -> dic
 class EpochRecord:
     epoch: int
     train_loss: float
-    valid_loss: float
+    valid_loss: float | None  # None: no validation pairs
     lr: float
     wall_seconds: float
 
@@ -222,8 +223,9 @@ class EpochRecord:
 def train(model, corpus, config: TrainConfig, validation, curves_path=None,
           log=None) -> list:
     """Train in place; on return model.params hold the mean of the last
-    average_last_k epoch checkpoints.  Returns per-epoch records and, if
-    ``curves_path`` is given, mirrors them there as JSON lines."""
+    average_last_k epoch checkpoints; no ``validation`` pairs, no early
+    stopping.  Returns per-epoch records and, if ``curves_path`` is given,
+    mirrors them there as JSON lines."""
     if not corpus:
         raise ValueError("empty training corpus")
     eps = config.label_smoothing
@@ -254,13 +256,15 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
             total += loss.item() * n
             count += n
         train_loss = total / count
-        valid_loss = dataset_loss(model, validation, eps) if validation else train_loss
+        valid_loss = dataset_loss(model, validation, eps)
         rec = EpochRecord(epoch, train_loss, valid_loss, lr, time.perf_counter() - t0)
         records.append(rec)
         ring.append({k: p.data.copy() for k, p in model.params.items()})
         if log:
-            log(f"epoch {epoch:3d}  train {train_loss:.4f}  valid {valid_loss:.4f}  "
-                f"lr {lr:.2e}")
+            valid = "none" if valid_loss is None else f"{valid_loss:.4f}"
+            log(f"epoch {epoch:3d}  train {train_loss:.4f}  valid {valid}  lr {lr:.2e}")
+        if valid_loss is None:
+            continue
         if valid_loss < best_valid - 1e-12:
             best_valid, best_epoch = valid_loss, epoch
         elif epoch - best_epoch >= config.patience_epochs:

@@ -19,8 +19,7 @@ key and value projections, which splits and merges the heads itself.  The
 greedy decoder's cache therefore holds, per layer, the unsplit self-attention
 K and V of every position fed so far, (B, t, d) each, grown by one position
 per step along axis 1, and the cross-attention K and V of the null row and
-the T source positions, (B, 1 + T, d) each, projected on the first step;
-an ended sentence drops its row of every cached array.
+the T source positions, (B, 1 + T, d) each, projected on the first step.
 """
 
 from __future__ import annotations
@@ -307,42 +306,30 @@ class Transformer:
 
         Output length is hard-capped at 2*T + 8; EOS is consumed, not returned.
         Each step feeds only the newest token, against cached keys and values
-        of the tokens before it, and drops the sentences that have ended.
+        of the tokens before it.  A group decodes as one fixed batch until
+        every row has emitted EOS; each output is its row's tokens before
+        the first EOS.
         """
         srcs = [self._check_ids(s, "source") for s in srcs]
 
         def decode(T_src, idxs):
             cap = min(2 * T_src + 8, self.config.max_len - 1)
-            return self._greedy_group(np.stack([srcs[i] for i in idxs]), cap)
+            hyps = np.full((len(idxs), cap + 1), EOS_ID, dtype=np.int64)
+            ended = np.zeros(len(idxs), dtype=bool)
+            cache: dict = {}
+            with T.no_grad():
+                enc_out = self.encode_batch(np.stack([srcs[i] for i in idxs]))
+                tokens = np.full((len(idxs), 1), BOS_ID, dtype=np.int64)
+                for t in range(cap):
+                    h = self._decode_hidden(self._embed(tokens, start=t), enc_out, cache=cache)
+                    tokens = np.argmax(self._project(h).data, axis=-1)
+                    hyps[:, t] = tokens[:, 0]
+                    ended |= tokens[:, 0] == EOS_ID
+                    if ended.all():
+                        break
+            return [row[: row.index(EOS_ID)] for row in hyps.tolist()]
 
         return map_groups([len(s) for s in srcs], decode)
-
-    def _greedy_group(self, src_ids: np.ndarray, cap: int) -> list:
-        B = src_ids.shape[0]
-        hyps = np.zeros((B, cap), dtype=np.int64)
-        lengths = np.full(B, cap)  # a row that never emits EOS stops at the cap
-        live = np.arange(B)  # rows still decoding, in batch order
-        cache: dict = {}
-        with T.no_grad():
-            enc_out = self.encode_batch(src_ids)
-            tokens = np.full((B, 1), BOS_ID, dtype=np.int64)
-            for t in range(cap):
-                h = self._decode_hidden(self._embed(tokens, start=t), enc_out, cache=cache)
-                nxt = np.argmax(self._project(h).data[:, 0, :], axis=-1)
-                hyps[live, t] = nxt
-                ended = nxt == EOS_ID
-                if ended.any():
-                    lengths[live[ended]] = t
-                    keep = ~ended
-                    live, nxt = live[keep], nxt[keep]
-                    if live.size == 0:
-                        break
-                    # enc_out keeps its ended rows: only the first step reads
-                    # it, and the cross-attention K/V in the cache replace it
-                    for key, kv in cache.items():
-                        cache[key] = tuple(Tensor(a.data[keep]) for a in kv)
-                tokens = nxt[:, None]
-        return [hyps[b, : lengths[b]].tolist() for b in range(B)]
 
     def sequence_logprob(self, src, tgt) -> tuple:
         """(sum, per-position mean) of log P(tgt + [EOS] | src): every token

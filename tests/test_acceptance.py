@@ -67,12 +67,11 @@ def verdict(n: int, label: str, ok: bool, detail: str = ""):
 # steps inside 30 epochs, and the short warmup halves the mid-training lr
 # so the valid-loss bounce stays inside the patience window
 DESK_TRAIN = TrainConfig()
-# family students train a fixed budget with early stopping disabled
-# (patience == max_epochs): the mono-fraction comparison needs every run
+# family students train a fixed budget with no validation pairs, so with
+# no early stopping: the mono-fraction comparison needs every run
 # to fit its data fully, otherwise an early stop on the small 0-mono
 # corpus masks the overfitting gap the family is meant to expose
-STUDENT_TRAIN = TrainConfig(batch_tokens=512, warmup_steps=100,
-                            max_epochs=40, patience_epochs=40)
+STUDENT_TRAIN = TrainConfig(batch_tokens=512, warmup_steps=100, max_epochs=40)
 # the duplication family feeds the B-sweep, not the gap analysis, so its
 # students keep the stock early stopping and a lighter budget
 DUP_STUDENT_TRAIN = TrainConfig(batch_tokens=1024, warmup_steps=200,
@@ -123,12 +122,11 @@ def reversal_family(reversal_corpus, desk_teacher):
     teacher = desk_teacher["model"]
     par = distilled(teacher, [s for s, _ in splits["train"][:N_TRAIN_SUB]])
     mono_pairs = distilled(teacher, mono[:N_MONO_SUB], MONOLINGUAL)
-    dist_valid, dist_test = (distilled(teacher, [s for s, _ in splits[split]])
-                             for split in ("valid", "test"))
+    dist_test = distilled(teacher, [s for s, _ in splits["test"]])
     family = {}
     for f in FRACTIONS:
         student, _, _, train_loss = train_student(teacher, par, mono_pairs, f, 0,
-                                                  STUDENT_TRAIN, dist_valid)
+                                                  STUDENT_TRAIN, [])
         family[f] = {
             "student": student,
             "train_loss": train_loss,

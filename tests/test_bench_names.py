@@ -51,7 +51,7 @@ def test_traced_name_resolves(name):
         fn = vars(module).get(rest[0])
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, \
             f"{name}: no public function {rest[0]} defined in narlab.{mod_name}"
-        assert not (mod_name == "tensor" and rest[0] in ("no_grad", "grad_enabled"))
+        assert not (mod_name == "tensor" and rest[0] == "no_grad")
     else:
         cls_name, method = rest
         assert cls_name in SPANS.TRACED[mod_name], f"{name}: class {cls_name} is not traced"

@@ -108,6 +108,9 @@ class TestPipelineArtifacts:
         assert extra["role"] == "student"
         assert extra["mono_fraction"] == 1.0
         assert isinstance(extra["length_offset"], int)
+        assert extra["teacher_digest"] == checkpoint_digest(run / "teacher.ckpt")
+        meta = json.loads((run / "distill" / "meta.json").read_text())
+        assert extra["teacher_digest"] == meta["teacher_digest"]
         report = json.loads((run / "student_eval.json").read_text())
         assert {"train_loss", "valid_loss", "test_loss", "mono_fraction",
                 "epochs"} <= set(report)
@@ -264,6 +267,24 @@ class TestErrorPaths:
         assert distilled(out, "mono") == []
         assert (out / "empty.hyp").read_text() == ""
 
+    def test_no_validation_pairs_record_null_valid_loss(self, run, tmp_path):
+        # empty valid splits: both trainers run every epoch and record no
+        # valid loss in the curves, the checkpoint or student_eval.json
+        out = tmp_path / "run"
+        for part in ("data", "distill"):
+            shutil.copytree(run / part, out / part)
+            for ext in ("src", "tgt"):
+                (out / part / f"valid.{ext}").write_text("")
+        run_ok("train-teacher", *opts(out))
+        shutil.copy(run / "teacher.ckpt", out / "teacher.ckpt")
+        run_ok("train-student", *opts(out))
+        epochs = load_config(out / "resolved.yaml").train.max_epochs
+        for role in ("teacher", "student"):
+            rows = (out / f"{role}_curves.jsonl").read_text().splitlines()
+            assert [json.loads(r)["valid_loss"] for r in rows] == [None] * epochs
+        assert load_checkpoint(out / "student.ckpt")[2]["final_valid_loss"] is None
+        assert json.loads((out / "student_eval.json").read_text())["valid_loss"] is None
+
     def test_distill_refuses_foreign_corpus(self, run, tmp_path, capsys):
         out = tmp_path / "clone"
         shutil.copytree(run / "data", out / "data")
@@ -321,6 +342,18 @@ def _bad_config_file(tmp):
 def _bad_override(tmp):
     item = "model.num_layers=[1,"
     return ["gen-data", *opts(tmp / "r", [item])], item
+
+
+def _override_of_wrong_type(item, name, with_file=False):
+    """A gen-data call whose override ``item`` gives a value of the wrong
+    type, after a config file with ``with_file``."""
+    def case(tmp):
+        if not with_file:
+            return ["gen-data", *opts(tmp / "r", [item])], name
+        path = tmp / "c.yaml"
+        path.write_text("train:\n  peak_lr: 0.01\n")
+        return ["gen-data", "-c", str(path), *opts(tmp / "r", [item])], f"config {path}: {name}"
+    return case
 
 
 def _old_snapshot(key, value):
@@ -484,6 +517,19 @@ def _evaluate_counts_differ(tmp):
     return ["evaluate", "--hyp", str(hyp), "--ref", str(ref)], f"{hyp} has 2, {ref} has 3"
 
 
+def _loss_gap_report(text, fraction="1.0"):
+    """An ``analyze loss-gap`` call with one ``--run fraction=DIR`` whose
+    student_eval.json holds ``text``."""
+    def case(tmp):
+        path = tmp / "student_eval.json"
+        path.write_text(text)
+        argv = ["analyze", "loss-gap", "--run", f"{fraction}={tmp}", "-o", str(tmp / "gap.txt")]
+        if fraction != "1.0":
+            return argv, f"--run {fraction!r}"
+        return argv, str(path)
+    return case
+
+
 def _bad_buckets(src="4 5 6\n4 5\n", edges="1-6", lineno=None):
     """An ``analyze buckets`` call over two sentences whose source file
     ``src`` is bad at line ``lineno``, or else whose ``--edges`` is bad."""
@@ -504,6 +550,12 @@ def _bad_buckets(src="4 5 6\n4 5\n", edges="1-6", lineno=None):
 MALFORMED = {
     "yaml config file": _bad_config_file,
     "yaml override": _bad_override,
+    "override length.B not an integer": _override_of_wrong_type(
+        "length.B=abc", "length.B must be int, got 'abc'"),
+    "override train.peak_lr not a number after -c": _override_of_wrong_type(
+        "train.peak_lr=fast", "train.peak_lr must be float, got 'fast'", with_file=True),
+    "override data.n_pairs not an integer": _override_of_wrong_type(
+        "data.n_pairs=2.5", "data.n_pairs must be int, got 2.5"),
     "resolved.yaml holds weight_tying": _old_snapshot("weight_tying", True),
     "resolved.yaml holds per_layer_pos_tables": _old_snapshot("per_layer_pos_tables", False),
     "resolved.yaml holds dropout_rate": _old_snapshot("dropout_rate", 0.0),
@@ -559,6 +611,9 @@ MALFORMED = {
     "b-sweep --b-values negative": _bad_b_values("0,-1"),
     "evaluate line counts differ": _evaluate_counts_differ,
     "evaluate files empty": _evaluate_empty_files,
+    "loss-gap student_eval.json not json": _loss_gap_report("{"),
+    "loss-gap student_eval.json lacks test_loss": _loss_gap_report('{"train_loss": 0.5}'),
+    "loss-gap --run fraction not a number": _loss_gap_report("{}", fraction="x"),
     "buckets source outside every bucket": _bad_buckets(src="4 5 6\n" + "5 " * 7 + "\n",
                                                         lineno=2),
     "buckets source line empty": _bad_buckets(src="4 5 6\n\n", lineno=2),

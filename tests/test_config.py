@@ -10,7 +10,6 @@ from narlab.config import (
     RunConfig,
     RunLock,
     apply_overrides,
-    default_config,
     load_config,
     run_dir,
     write_resolved,
@@ -36,15 +35,15 @@ class TestRunConfig:
         assert c.data.mono_ratio == 4.0
 
     def test_round_trip(self):
-        c = default_config(["train.peak_lr=0.005", "task.n_content=16"])
+        c = load_config(None, ["train.peak_lr=0.005", "task.n_content=16"])
         assert RunConfig.from_dict(asdict(c)) == c
 
     def test_pickles(self):
-        c = default_config(["model.model_dim=32"])
+        c = load_config(None, ["model.model_dim=32"])
         assert pickle.loads(pickle.dumps(c)) == c
 
     def test_model_config_derives_vocab(self):
-        c = default_config(["task.n_content=20"])
+        c = load_config(None, ["task.n_content=20"])
         m = c.model_config()
         assert m.vocab_size == 24
         assert m.flavor == AR
@@ -62,6 +61,25 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="must be a mapping"):
             RunConfig.from_dict({"train": 3})
 
+    @pytest.mark.parametrize("section, key, value, written", [
+        ("length", "B", "abc", "int"),
+        ("train", "peak_lr", "fast", "float"),
+        ("data", "n_pairs", 2.5, "int"),
+        ("data", "n_pairs", True, "int"),
+        ("length", "C", "abc", "int | None"),
+        ("length", "dedup", 1, "bool"),
+        ("task", "kind", None, "str"),
+    ])
+    def test_value_of_wrong_type_named(self, section, key, value, written):
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_dict({section: {key: value}})
+        assert str(err.value) == f"{section}.{key} must be {written}, got {value!r}"
+
+    def test_int_passes_for_float_and_none_where_allowed(self):
+        c = RunConfig.from_dict({"train": {"peak_lr": 1}, "length": {"C": None},
+                                 "task": {"perm_seed": None}})
+        assert (c.train.peak_lr, c.length.C, c.task.perm_seed) == (1, None, None)
+
     def test_section_validation_propagates(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"distill": {"mono_fraction": 2.0}})
@@ -78,6 +96,18 @@ class TestOverrides:
         d = apply_overrides({}, ["a.x=3", "a.y=0.5", "a.z=true", "a.w=hello",
                                  "a.n=null"])
         assert d["a"] == {"x": 3, "y": 0.5, "z": True, "w": "hello", "n": None}
+
+    def test_no_file_takes_the_defaults(self):
+        assert load_config(None) == RunConfig()
+        assert load_config(None, ["length.B=2"]) == RunConfig.from_dict({"length": {"B": 2}})
+
+    def test_override_type_error_names_key(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("length:\n  B: 1\n")
+        for path, where in ((p, f"config {p}"), (None, "config overrides")):
+            with pytest.raises(ValueError) as err:
+                load_config(path, ["length.B=abc"])
+            assert str(err.value) == f"{where}: length.B must be int, got 'abc'"
 
     def test_override_wins_over_file_value(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -137,28 +167,28 @@ def test_desk_config_is_the_defaults():
 class TestRunDir:
     def test_relative_uses_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-        c = default_config(["output_dir=exp1"])
+        c = load_config(None, ["output_dir=exp1"])
         assert run_dir(c) == tmp_path / "exp1"
 
     def test_relative_defaults_to_cwd_dot(self, monkeypatch):
         monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
-        c = default_config(["output_dir=exp1"])
+        c = load_config(None, ["output_dir=exp1"])
         assert str(run_dir(c)) == "exp1"
 
     def test_absolute_ignores_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "ignored"))
-        c = default_config([f"output_dir={tmp_path / 'abs'}"])
+        c = load_config(None, [f"output_dir={tmp_path / 'abs'}"])
         assert run_dir(c) == tmp_path / "abs"
 
 
 class TestResolvedSnapshot:
     def test_snapshot_reloads_to_same_config(self, tmp_path):
-        c = default_config(["train.peak_lr=0.004", "length.B=3"])
+        c = load_config(None, ["train.peak_lr=0.004", "length.B=3"])
         path = write_resolved(c, tmp_path)
         assert load_config(path) == c
 
     def test_snapshot_bytes_stable(self, tmp_path):
-        c = default_config(["task.perm_seed=7"])
+        c = load_config(None, ["task.perm_seed=7"])
         a = write_resolved(c, tmp_path / "a")
         b = write_resolved(c, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()

@@ -328,6 +328,19 @@ class TestTrainLoop:
                      validation=tiny_pairs(4, 3, 3, seed=5))
         assert len(recs) == 5  # best epoch 2, then patience 3 exhausted
 
+    def test_no_validation_no_loss_and_no_early_stop(self, tmp_path):
+        # a learning rate too small to move any parameter keeps the train
+        # loss flat, so early stopping on it would end after epoch 2
+        model = Transformer(tiny_config(), seed=0)
+        cfg = TrainConfig(batch_tokens=128, warmup_steps=10, peak_lr=1e-30,
+                          max_epochs=4, patience_epochs=1, average_last_k=2, seed=0)
+        path = tmp_path / "curves.jsonl"
+        recs = train(model, tiny_pairs(6, 3, 3), cfg, validation=[], curves_path=path)
+        assert len(recs) == 4
+        assert all(r.valid_loss is None for r in recs)
+        assert all(json.loads(line)["valid_loss"] is None
+                   for line in path.read_text().splitlines())
+
     def test_curves_file_is_json_lines(self, tmp_path):
         model = Transformer(tiny_config(), seed=0)
         cfg = TrainConfig(batch_tokens=128, warmup_steps=10, peak_lr=0.01,

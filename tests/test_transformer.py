@@ -173,8 +173,8 @@ class TestGreedyDecode:
 
     def test_large_group_matches_each_source_alone(self):
         # 32 same-length sources decode as one group: every cached step
-        # projects its live (B, 1, d) rows with one GEMM per weight, and
-        # the group shrinks as rows end at different steps
+        # projects all (B, 1, d) rows with one GEMM per weight, rows that
+        # ended at different steps included
         m = Transformer(ModelConfig(vocab_size=36), seed=4)  # desk-size shapes
         m.params["embedding"].data[EOS_ID] *= 3.0  # the (tied) EOS logit
         rng = np.random.default_rng(1)
@@ -300,10 +300,12 @@ class TestIncrementalDecode:
         refs = [m.ar_logits_batch(np.array([s]), np.array([[BOS_ID] + o])).data[0]
                 for s, o in zip(srcs, outs)]
         for t, step in enumerate(rec.steps):
-            live = [b for b in range(len(srcs)) if lengths[b] >= t]  # EOS at t is live at t
-            assert step.shape == (len(live), m.config.vocab_size)
-            for row, b in zip(step, live):
-                assert np.abs(row - refs[b][t]).max() <= 1e-10
+            # the group stays whole: every step carries all 8 rows, and a
+            # row is checked up to the step that emits its EOS
+            assert step.shape == (len(srcs), m.config.vocab_size)
+            for b in range(len(srcs)):
+                if t <= lengths[b]:
+                    assert np.abs(step[b] - refs[b][t]).max() <= 1e-10
 
     def test_outputs_pass_teacher_forced_check(self):
         m = eos_prone_model()
