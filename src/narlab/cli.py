@@ -20,11 +20,10 @@ from .corpora import read_sentences, write_json, write_lines, write_pairs, write
 from .distill import MONOLINGUAL, PARALLEL, dedup_adjacent, distill_corpus
 from .evaluate import (DESK_BUCKET_EDGES, b_sweep, bucket_bleu, check_bucket_edges,
                        corpus_bleu, loss_gap_analysis)
-from .lengths import (RANK_MODES, LengthPolicy, gold_length_decode,
-                      length_parallel_decode_corpus)
+from .lengths import LengthPolicy, gold_length_decode, length_parallel_decode_corpus
 from .nar import NARTransformer
 from .tasks import generate_corpus, generate_monolingual
-from .training import dataset_loss, train, train_student
+from .training import EmptyCorpusError, dataset_loss, train, train_student
 from .transformer import AR, NAR, Transformer
 from .vocab import N_RESERVED
 
@@ -202,9 +201,11 @@ def cmd_train_teacher(args) -> int:
     cfg = _resolve(args)
     out = run_dir(cfg)
     model = Transformer(cfg.model_config(AR), seed=cfg.train.seed)
-    train_pairs, valid_pairs = (_read_pairs(out / "data", split, model.config,
-                                            "run gen-data first")
+    data = out / "data"
+    train_pairs, valid_pairs = (_read_pairs(data, split, model.config, "run gen-data first")
                                 for split in ("train", "valid"))
+    if not train_pairs:
+        raise CommandError(f"empty training corpus: {data / 'train.src'} and {data / 'train.tgt'}")
     with RunLock(out):
         write_resolved(cfg, out)
         records = train(model, train_pairs, cfg.train, valid_pairs,
@@ -272,10 +273,15 @@ def cmd_train_student(args) -> int:
                            f"gives {differs[0]} {getattr(config, differs[0])}")
     with RunLock(out):
         write_resolved(cfg, out)
-        student, records, C_hat, train_loss = train_student(
-            teacher, splits["train"], splits["mono"], cfg.distill.mono_fraction,
-            cfg.distill.mix_seed, cfg.train, splits["valid"],
-            curves_path=out / "student_curves.jsonl", log=print)
+        try:
+            student, records, C_hat, train_loss = train_student(
+                teacher, splits["train"], splits["mono"], cfg.distill.mono_fraction,
+                cfg.distill.mix_seed, cfg.train, splits["valid"],
+                curves_path=out / "student_curves.jsonl", log=print)
+        except EmptyCorpusError:
+            raise CommandError(f"empty training corpus: {dist_dir / 'train.*'} and "
+                               f"{dist_dir / 'mono.*'} at distill.mono_fraction "
+                               f"{cfg.distill.mono_fraction} mix to no pairs") from None
         save_checkpoint(out / "student.ckpt", student.config, student.params, {
             "role": "student",
             "task": asdict(cfg.task),
@@ -319,8 +325,7 @@ def cmd_translate(args) -> int:
         policy = LengthPolicy(C=_length_offset(length.C, s_extra, student_path,
                                                "-O length.C=<C>"), B=length.B)
         teacher, _ = _load_model(_teacher_path(args, out), AR)
-        hyps = length_parallel_decode_corpus(student, teacher, srcs, policy,
-                                             length.rank_mode)
+        hyps = length_parallel_decode_corpus(student, teacher, srcs, policy)
     if length.dedup:
         hyps = [dedup_adjacent(h) for h in hyps]
     write_sentences(Path(args.output), hyps)
@@ -391,7 +396,7 @@ def cmd_b_sweep(args) -> int:
         sweeps[name] = b_sweep(student, teacher, pairs, B_values,
                                _length_offset(args.length_offset, extra, path,
                                               "--length-offset"),
-                               rank_mode=args.rank_mode, smooth=args.smooth)
+                               smooth=args.smooth)
     lines = ["# variant B bleu"]
     for name, (cells, gold) in sorted(sweeps.items()):
         lines += [f"{name} {B} {cells[B]:.4f}" for B in B_values] + [f"{name} gold {gold:.4f}"]
@@ -404,11 +409,12 @@ def cmd_b_sweep(args) -> int:
 def cmd_buckets(args) -> int:
     hyps, refs, srcs = _read_scored((args.hyp, "hypothesis file"),
                                     (args.ref, "reference file"), (args.src, "source file"))
-    edges = check_bucket_edges(_parse_option(
+    edges = _parse_option(
         "--edges", args.edges,
-        lambda v: [(int(lo), int(hi)) for lo, hi in (part.split("-") for part in v.split(","))],
-        "a comma list of lo-hi intervals",
-    ) if args.edges else DESK_BUCKET_EDGES)
+        lambda v: check_bucket_edges([(int(lo), int(hi)) for lo, hi in
+                                      (part.split("-") for part in v.split(","))]),
+        "a comma list of disjoint lo-hi intervals with lo <= hi",
+    ) if args.edges else DESK_BUCKET_EDGES
     for lineno, s in enumerate(srcs, 1):
         if not any(lo <= len(s) <= hi for lo, hi in edges):
             raise CommandError(f"{args.src}:{lineno}: source length {len(s)} "
@@ -499,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b-values", default="0,1,2,3")
     q.add_argument("--length-offset", type=int, metavar="C",
                    help="length offset (default: each student's stored offset)")
-    q.add_argument("--rank-mode", choices=RANK_MODES, default=RANK_MODES[0])
     q.add_argument("--smooth", action="store_true")
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(fn=cmd_b_sweep)
@@ -520,7 +525,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CommandError, ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (CommandError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

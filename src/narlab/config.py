@@ -16,7 +16,6 @@ from pathlib import Path
 import yaml
 
 from .corpora import whole_file
-from .lengths import RANK_MODES
 from .tasks import TaskSpec
 from .training import TrainConfig
 from .transformer import AR, ModelConfig
@@ -66,16 +65,11 @@ class DistillSection:
 class DecodeSection:
     C: int | None = None  # None: use the offset stored in the student checkpoint
     B: int = 0
-    rank_mode: str = "sum_logprob"
     dedup: bool = False
 
     def __post_init__(self):
         if self.B < 0:
             raise ValueError(f"length.B (the half-width) must be nonnegative, got {self.B}")
-        if self.rank_mode not in RANK_MODES:
-            raise ValueError(
-                f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,32 +97,35 @@ class RunConfig:
         """The sections in ``d`` over the defaults, each value of its field's
         type: an int passes for a float, and only a bool for a bool."""
         sections = typing.get_type_hints(RunConfig)
-        del sections["output_dir"]
-        unknown = set(d) - set(sections) - {"output_dir"}
+        unknown = set(d) - set(sections)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        kwargs = {}
+        kwargs = {"output_dir": d["output_dir"]} if "output_dir" in d else {}
+        _check_types(kwargs, RunConfig, "")
         for name, cls in sections.items():
-            if name not in d:
+            if name not in d or name == "output_dir":
                 continue
             body = d[name]
             if not isinstance(body, dict):
                 raise ValueError(f"section {name!r} must be a mapping")
-            written = {f.name: f.type for f in fields(cls)}  # e.g. "int | None"
-            bad = set(body) - set(written)
+            bad = set(body) - {f.name for f in fields(cls)}
             if bad:
                 raise ValueError(f"unknown keys in section {name!r}: {sorted(bad)}")
-            hints = typing.get_type_hints(cls)
-            for key, value in body.items():
-                kinds = typing.get_args(hints[key]) or (hints[key],)
-                if float in kinds:
-                    kinds += (int,)
-                if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-                    raise ValueError(f"{name}.{key} must be {written[key]}, got {value!r}")
+            _check_types(body, cls, f"{name}.")
             kwargs[name] = replace(getattr(RunConfig(), name), **body)
-        if "output_dir" in d:
-            kwargs["output_dir"] = str(d["output_dir"])
         return RunConfig(**kwargs)
+
+
+def _check_types(values: dict, cls, prefix: str) -> None:
+    """A ValueError naming the first of ``values`` not of its field's type in ``cls``."""
+    written = {f.name: f.type for f in fields(cls)}  # e.g. "int | None"
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if float in kinds:
+            kinds += (int,)
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise ValueError(f"{prefix}{key} must be {written[key]}, got {value!r}")
 
 
 def _one_line(err: Exception) -> str:

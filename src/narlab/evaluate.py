@@ -141,8 +141,7 @@ def bucket_bleu(hypotheses, references, sources, bucket_edges=DESK_BUCKET_EDGES,
 # half-width sweep (Table 3 analog)
 # ---------------------------------------------------------------------
 
-def b_sweep(student, teacher, test_pairs, B_values, C: int,
-            rank_mode: str = "sum_logprob", smooth: bool = False) -> tuple:
+def b_sweep(student, teacher, test_pairs, B_values, C: int, smooth: bool = False) -> tuple:
     """One student's BLEU per half-width, ``{B: bleu}``, and its gold-length
     BLEU: each sentence decoded at its true target length with no
     candidate generation or reranking."""
@@ -150,9 +149,8 @@ def b_sweep(student, teacher, test_pairs, B_values, C: int,
     refs = [t for _, t in test_pairs]
     cells = {}
     for B in B_values:
-        hyps = length_parallel_decode_corpus(
-            student, teacher, srcs, LengthPolicy(C=C, B=int(B)), rank_mode
-        )
+        hyps = length_parallel_decode_corpus(student, teacher, srcs,
+                                             LengthPolicy(C=C, B=int(B)))
         cells[int(B)] = corpus_bleu(hyps, refs, smooth=smooth).bleu
     gold = corpus_bleu(gold_length_decode(student, srcs, refs), refs, smooth=smooth).bleu
     return cells, gold

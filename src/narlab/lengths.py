@@ -19,8 +19,6 @@ from . import tensor as T
 from .tensor import Tensor
 from .util import map_groups
 
-RANK_MODES = ("sum_logprob", "mean_logprob")
-
 
 @dataclass(frozen=True)
 class LengthPolicy:
@@ -81,8 +79,9 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
     """Length-parallel decoding with teacher reranking, per sentence.
     Groups sentences by source length and scores each group's candidates
     in one stacked pass per model (``_score_group``)."""
-    if rank_mode not in RANK_MODES:
-        raise ValueError(f"rank_mode must be one of {RANK_MODES}, got {rank_mode!r}")
+    # kept for the value perfbench's _serve passes; ROADMAP item 1 drops both
+    if rank_mode != "sum_logprob":
+        raise ValueError(f"rank_mode must be 'sum_logprob', got {rank_mode!r}")
     if student.config.vocab_size != teacher.config.vocab_size:
         raise ValueError(
             f"student/teacher vocab mismatch: {student.config.vocab_size} "
@@ -91,15 +90,14 @@ def length_parallel_decode_corpus(student, teacher, srcs, policy: LengthPolicy,
 
     def rerank(T_src, idxs):
         lens = _usable_lengths(student, teacher, T_src, policy)
-        emitted, scores = _score_group(student, teacher, [srcs[i] for i in idxs], lens,
-                                       rank_mode)
+        emitted, scores = _score_group(student, teacher, [srcs[i] for i in idxs], lens)
         picks = _pick(lens, T_src + policy.C, scores)
         return [emitted[k * len(idxs) + j] for j, k in enumerate(picks)]
 
     return map_groups([len(s) for s in srcs], rerank)
 
 
-def _score_group(student, teacher, group, lens, rank_mode: str) -> tuple:
+def _score_group(student, teacher, group, lens) -> tuple:
     """Every candidate of G same-length sources at each of the K lengths
     ``lens``: the K * G emissions, length-major (row k * G + j holds source
     j at length ``lens[k]``), and their teacher scores as a (K, G) array.
@@ -115,9 +113,7 @@ def _score_group(student, teacher, group, lens, rank_mode: str) -> tuple:
                         for m in (student, teacher))
     rows = list(group) * K
     emitted = student.nar_greedy_emit_batch(rows, np.repeat(lens, G), enc_out=s_enc)
-    totals, means = teacher.sequence_logprob_batch(rows, emitted, enc_out=t_enc)
-    scores = totals if rank_mode == "sum_logprob" else means
-    return emitted, scores.reshape(K, G)
+    return emitted, teacher.sequence_logprob_batch(rows, emitted, enc_out=t_enc).reshape(K, G)
 
 
 def gold_length_decode(student, srcs, refs) -> list:

@@ -220,6 +220,10 @@ class EpochRecord:
     wall_seconds: float
 
 
+class EmptyCorpusError(ValueError):
+    """``train`` was given no pairs; the caller knows which files were empty."""
+
+
 def train(model, corpus, config: TrainConfig, validation, curves_path=None,
           log=None) -> list:
     """Train in place; on return model.params hold the mean of the last
@@ -227,7 +231,7 @@ def train(model, corpus, config: TrainConfig, validation, curves_path=None,
     stopping.  Returns per-epoch records and, if ``curves_path`` is given,
     mirrors them there as JSON lines."""
     if not corpus:
-        raise ValueError("empty training corpus")
+        raise EmptyCorpusError("empty training corpus")
     eps = config.label_smoothing
     model_dim = model.config.model_dim
     opt = Adam(model.params)

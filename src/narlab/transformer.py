@@ -334,12 +334,12 @@ class Transformer:
     def sequence_logprob(self, src, tgt) -> tuple:
         """(sum, per-position mean) of log P(tgt + [EOS] | src): every token
         given the ones before it, then the end of the sentence."""
-        total, mean = self.sequence_logprob_batch([src], [tgt])
-        return float(total[0]), float(mean[0])
+        (total,) = self.sequence_logprob_batch([src], [tgt])
+        return float(total), float(total) / (len(tgt) + 1)
 
-    def sequence_logprob_batch(self, srcs, tgts, enc_out: Tensor | None = None) -> tuple:
-        """Batched scoring in one teacher-forced pass: (sums, means) over
-        each row's L + 1 positions, [BOS] + tgt -> tgt + [EOS], the rows
+    def sequence_logprob_batch(self, srcs, tgts, enc_out: Tensor | None = None) -> np.ndarray:
+        """Batched scoring in one teacher-forced pass: log-probability sums
+        over each row's L + 1 positions, [BOS] + tgt -> tgt + [EOS], the rows
         ``batch_loss`` trains on.  All srcs share one length; tgts may
         differ in length and are right-padded with PAD_ID, which the causal
         mask hides from every scored position.  ``enc_out`` is the encoder
@@ -351,8 +351,7 @@ class Transformer:
             logits = self.ar_logits_batch(src_ids, tgt_in, enc_out=enc_out)
             logp = T.log_softmax(logits).data
         rows = np.take_along_axis(logp, tgt_out[:, :, None], axis=2)[:, :, 0]
-        totals = np.where(np.arange(tgt_out.shape[1]) < lengths[:, None], rows, 0.0).sum(axis=1)
-        return totals, totals / lengths
+        return np.where(np.arange(tgt_out.shape[1]) < lengths[:, None], rows, 0.0).sum(axis=1)
 
 
 def _teacher_forced_rows(tgts) -> tuple:

@@ -175,11 +175,9 @@ class TestPipelineArtifacts:
 
     def test_translate_snapshot_records_folded_flags(self, run, tmp_path):
         run_ok("translate", *opts(run), "-i", str(run / "distill" / "test.src"),
-               "-o", str(tmp_path / "h.txt"), "-O", "length.B=2",
-               "-O", "length.rank_mode=mean_logprob", "-O", "length.dedup=true")
+               "-o", str(tmp_path / "h.txt"), "-O", "length.B=2", "-O", "length.dedup=true")
         d = yaml.safe_load((run / "resolved.yaml").read_text())
         assert d["length"]["B"] == 2
-        assert d["length"]["rank_mode"] == "mean_logprob"
         assert d["length"]["dedup"] is True
 
 
@@ -356,13 +354,13 @@ def _override_of_wrong_type(item, name, with_file=False):
     return case
 
 
-def _old_snapshot(key, value):
-    """A gen-data call on a resolved.yaml written while the model section
-    still held ``key``."""
+def _old_snapshot(section, key, value):
+    """A gen-data call on a resolved.yaml written while ``section`` still
+    held ``key``."""
     def case(tmp):
         path = write_resolved(RunConfig(), tmp)
         d = yaml.safe_load(path.read_text())
-        d["model"][key] = value
+        d[section][key] = value
         path.write_text(yaml.safe_dump(d, sort_keys=True))
         return ["gen-data", "-c", str(path)], str(path)
     return case
@@ -438,6 +436,38 @@ def _bad_data(command, fname, text, lineno):
             if command != "train-teacher":
                 argv += ["--teacher", teacher]
         return argv, f"{data / fname}:{lineno}"
+    return case
+
+
+def _empty_corpus(command):
+    """A train-teacher or train-student call over a sound corpus whose
+    train.src and train.tgt are empty.  train-student's teacher fits the
+    run config, and its mono fraction 0.2 of two mono pairs rounds to none."""
+    def case(tmp):
+        argv, _ = _bad_data(command, "train.src", "", 1)(tmp)
+        data = tmp / "r" / ("distill" if command == "train-student" else "data")
+        (data / "train.tgt").write_text("")
+        if command == "train-teacher":
+            return argv, f"{data / 'train.src'} and {data / 'train.tgt'}"
+        teacher = _tiny_checkpoint(tmp / "teacher.ckpt", "AR", max_len=32)
+        (data / "meta.json").write_text(
+            json.dumps({"teacher_digest": checkpoint_digest(teacher)}))
+        return argv + ["-O", "distill.mono_fraction=0.2"], \
+            f"{data / 'train.*'} and {data / 'mono.*'} at distill.mono_fraction 0.2"
+    return case
+
+
+def _directory_input(command):
+    """A gen-data -c, translate --student or evaluate --hyp call that names
+    the directory ``tmp`` in place of a file."""
+    def case(tmp):
+        if command == "gen-data":
+            return ["gen-data", "-c", str(tmp)], str(tmp)
+        if command == "translate":
+            return ["translate", *opts(tmp / "r"), "--student", str(tmp),
+                    "-i", str(tmp / "in.txt"), "-o", str(tmp / "out.txt")], str(tmp)
+        (tmp / "ref.txt").write_text("4 5\n")
+        return ["evaluate", "--hyp", str(tmp), "--ref", str(tmp / "ref.txt")], str(tmp)
     return case
 
 
@@ -556,9 +586,17 @@ MALFORMED = {
         "train.peak_lr=fast", "train.peak_lr must be float, got 'fast'", with_file=True),
     "override data.n_pairs not an integer": _override_of_wrong_type(
         "data.n_pairs=2.5", "data.n_pairs must be int, got 2.5"),
-    "resolved.yaml holds weight_tying": _old_snapshot("weight_tying", True),
-    "resolved.yaml holds per_layer_pos_tables": _old_snapshot("per_layer_pos_tables", False),
-    "resolved.yaml holds dropout_rate": _old_snapshot("dropout_rate", 0.0),
+    "override output_dir null": _override_of_wrong_type(
+        "output_dir=null", "output_dir must be str, got None"),
+    "resolved.yaml holds weight_tying": _old_snapshot("model", "weight_tying", True),
+    "resolved.yaml holds per_layer_pos_tables": _old_snapshot("model", "per_layer_pos_tables",
+                                                              False),
+    "resolved.yaml holds dropout_rate": _old_snapshot("model", "dropout_rate", 0.0),
+    "resolved.yaml holds length.rank_mode": _old_snapshot("length", "rank_mode",
+                                                          "sum_logprob"),
+    "gen-data -c names a directory": _directory_input("gen-data"),
+    "translate --student names a directory": _directory_input("translate"),
+    "evaluate --hyp names a directory": _directory_input("evaluate"),
     "header cut short": _damaged_student(lambda b: b[: HEADER + 100]),
     "header not utf-8": _damaged_student(lambda b: b[:HEADER] + b"\xff" + b[HEADER + 1:]),
     "header not json": _damaged_student(lambda b: b[:HEADER] + b"[" + b[HEADER + 1:]),
@@ -595,6 +633,8 @@ MALFORMED = {
     "train-teacher target as long as max_len": _bad_data("train-teacher", "train.tgt",
                                                          "4 5 6\n" + "5 " * 32 + "\n", 2),
     "train-teacher valid.tgt one line short": _short_valid_target,
+    "train-teacher train pairs empty": _empty_corpus("train-teacher"),
+    "train-student mixed corpus empty": _empty_corpus("train-student"),
     "distill source id past vocabulary": _bad_data("distill", "test.src", "4 5 6\n4 99 6\n", 2),
     "train-student source id past vocabulary": _bad_data("train-student", "mono.src",
                                                          "4 5 6\n4 99 6\n", 2),
@@ -619,6 +659,8 @@ MALFORMED = {
     "buckets source line empty": _bad_buckets(src="4 5 6\n\n", lineno=2),
     "buckets --edges interval lacks hi": _bad_buckets(edges="1-4,5"),
     "buckets --edges bound not an integer": _bad_buckets(edges="1-x"),
+    "buckets --edges interval empty": _bad_buckets(edges="5-1"),
+    "buckets --edges intervals overlap": _bad_buckets(edges="1-4,3-6"),
 }
 
 

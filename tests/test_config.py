@@ -84,7 +84,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({"distill": {"mono_fraction": 2.0}})
         with pytest.raises(ValueError):
-            RunConfig.from_dict({"length": {"rank_mode": "argmax"}})
+            RunConfig.from_dict({"length": {"B": -1}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"data": {"n_pairs": 0}})
         with pytest.raises(ValueError, match="divisible"):

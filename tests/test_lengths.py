@@ -91,9 +91,10 @@ class TestCandidateLengths:
 
 class TestScoring:
     def test_rank_mode_validated(self, student, teacher):
+        # the kept parameter takes only the one score the benchmark passes
         with pytest.raises(ValueError, match="rank_mode"):
             length_parallel_decode_corpus(student, teacher, [[4]], LengthPolicy(),
-                                          "best_logprob")
+                                          "mean_logprob")
 
     def test_vocab_mismatch_rejected(self, student):
         other = Transformer(small_cfg(vocab_size=12), seed=0)
@@ -130,12 +131,11 @@ class TestDecode:
         srcs = [[int(x) for x in rng.integers(4, 16, size=int(rng.integers(2, 7)))]
                 for _ in range(20)]
         policy = LengthPolicy(C=0, B=2)
-        for mode in ("sum_logprob", "mean_logprob"):
-            batched = length_parallel_decode_corpus(student, teacher, srcs, policy, mode)
-            singles = [length_parallel_decode_corpus(student, teacher, [s], policy, mode)[0]
-                       for s in srcs]
-            assert batched == singles
-            assert singles == [rerank_pick(student, teacher, s, policy, mode) for s in srcs]
+        batched = length_parallel_decode_corpus(student, teacher, srcs, policy)
+        singles = [length_parallel_decode_corpus(student, teacher, [s], policy)[0]
+                   for s in srcs]
+        assert batched == singles
+        assert singles == [rerank_pick(student, teacher, s, policy) for s in srcs]
 
     def test_candidates_beyond_max_len_are_dropped(self, student, teacher):
         # student max_len 32, teacher scores BOS+L so its cap is 31: with the
@@ -170,16 +170,15 @@ class TestStackedPass:
         for group, policy in _groups(rng):
             lens = _usable_lengths(student, teacher, len(group[0]), policy)
             seen_windows.add(tuple(lens))
-            for mode, pick in (("sum_logprob", 0), ("mean_logprob", 1)):
-                rows, table = _score_group(student, teacher, group, lens, mode)
-                G = len(group)
-                assert len(rows) == len(lens) * G and table.shape == (len(lens), G)
-                for k, L in enumerate(lens):
-                    emitted = student.nar_greedy_emit_batch(group, L)
-                    scores = teacher.sequence_logprob_batch(group, emitted)[pick]
-                    for j in range(G):
-                        assert rows[k * G + j] == emitted[j]
-                        assert abs(table[k, j] - scores[j]) <= 1e-12
+            rows, table = _score_group(student, teacher, group, lens)
+            G = len(group)
+            assert len(rows) == len(lens) * G and table.shape == (len(lens), G)
+            for k, L in enumerate(lens):
+                emitted = student.nar_greedy_emit_batch(group, L)
+                scores = teacher.sequence_logprob_batch(group, emitted)
+                for j in range(G):
+                    assert rows[k * G + j] == emitted[j]
+                    assert abs(table[k, j] - scores[j]) <= 1e-12
         assert {(1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (30, 31)} <= seen_windows
 
     @staticmethod
